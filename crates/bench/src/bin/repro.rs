@@ -50,7 +50,7 @@ use fbmpk_bench::perfreport;
 use fbmpk_bench::report::{format_table, write_csv, write_json, Json};
 use fbmpk_bench::runner::{self, MatrixCase};
 use fbmpk_bench::{platform, roofline, BenchConfig};
-use fbmpk_obs::MetricValue;
+use fbmpk_obs::{SampleValue, Snapshot};
 use std::path::PathBuf;
 
 struct Args {
@@ -226,12 +226,14 @@ fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 
-/// JSON form of one registry metric for `BENCH_profile.json`.
-fn metric_json(m: &MetricValue) -> Json {
-    match m {
-        MetricValue::Counter(v) => Json::from(*v as usize),
-        MetricValue::Gauge(v) => Json::from(*v),
-        MetricValue::Histogram(h) => Json::obj([
+/// `BENCH_profile.json`'s `metrics` object: one key per family of the
+/// profile registry's snapshot (each family there has one unlabeled
+/// sample).
+fn metrics_json(snap: &Snapshot) -> Json {
+    let value = |v: &SampleValue| match v {
+        SampleValue::Counter(v) => Json::from(*v as usize),
+        SampleValue::Gauge(v) => Json::from(*v),
+        SampleValue::Histogram(h) => Json::obj([
             ("count", Json::from(h.count() as usize)),
             ("sum", Json::from(h.sum() as usize)),
             ("min", Json::from(h.min() as usize)),
@@ -249,7 +251,13 @@ fn metric_json(m: &MetricValue) -> Json {
                 ),
             ),
         ]),
-    }
+    };
+    Json::Obj(
+        snap.families
+            .iter()
+            .flat_map(|f| f.samples.iter().map(|s| (f.name.clone(), value(&s.value))))
+            .collect(),
+    )
 }
 
 /// Loads the run database, warning (never failing) on skipped lines.
@@ -1341,7 +1349,7 @@ fn main() {
     if want("profile") {
         eprintln!("profile: in-kernel spans, bandwidth, hardware counters ...");
         let roofline_gbs = perf_ctx.as_ref().and_then(|c| c.bw.map(|b| b.triad_gbs));
-        let (rows, trace, registry) = runner::profile(&args.cfg, &cases, roofline_gbs);
+        let (rows, trace, metrics) = runner::profile(&args.cfg, &cases, roofline_gbs);
         assert!(
             rows.iter().all(|r| r.identical),
             "a recording plan produced a result differing from its non-recording twin"
@@ -1447,9 +1455,6 @@ fn main() {
             &csv_rows,
         )
         .expect("write profile.csv");
-        let metrics = Json::Obj(
-            registry.snapshot().iter().map(|(k, m)| (k.clone(), metric_json(m))).collect(),
-        );
         let json = Json::obj([
             ("experiment", Json::from("profile")),
             ("scale", Json::from(args.cfg.scale)),
@@ -1457,7 +1462,7 @@ fn main() {
             ("reps", Json::from(args.cfg.reps)),
             ("k", Json::from(5usize)),
             ("platform", platform::probe().to_json()),
-            ("metrics", metrics),
+            ("metrics", metrics_json(&metrics)),
             (
                 "matrices",
                 Json::Arr(

@@ -17,7 +17,7 @@ use fbmpk_memsim::{
 };
 use fbmpk_obs::{
     AttributionReport, BlockLedger, CellLedger, HwAttributionProbe, HwSample, HwSession,
-    MeasuredLedger, Registry, Span, SpanKind, TraceBuilder,
+    LiveRegistry, MeasuredLedger, Snapshot, Span, SpanKind, TraceBuilder,
 };
 use fbmpk_reorder::{
     balance_ratio, cut_edges, multilevel_blocks, Abmc, AbmcParams, BlockingStrategy, Graph,
@@ -1087,17 +1087,24 @@ pub struct ProfileRow {
 /// observability, then re-runs each once with the span recorder enabled to
 /// extract per-thread wait fractions, a chrome://tracing timeline (two
 /// trace processes per matrix, one per sync mode), hardware counters where
-/// available, and registry metrics. Returns the rows plus the accumulated
-/// trace and metrics.
+/// available, and run totals recorded into a private [`LiveRegistry`].
+/// Returns the rows plus the accumulated trace and that registry's final
+/// snapshot.
 pub fn profile(
     cfg: &BenchConfig,
     cases: &[MatrixCase],
     roofline_gbs: Option<f64>,
-) -> (Vec<ProfileRow>, TraceBuilder, Registry) {
+) -> (Vec<ProfileRow>, TraceBuilder, Snapshot) {
     let k = 5;
     let mut rows = Vec::new();
     let mut trace = TraceBuilder::new();
-    let registry = Registry::new();
+    let registry = LiveRegistry::new();
+    let add = |name: &str, help: &str, v: u64| registry.counter(name, help, 1).add(0, v);
+    let wait_spans = registry.histogram(
+        "fbmpk_profile_wait_span_ns",
+        "Wait-span durations of the recording barrier runs",
+        1,
+    );
     // Plan-construction phase spans (inspection, partitioning, leveling)
     // land in the chrome://tracing timeline next to the kernel spans.
     fbmpk_obs::phases::set_recording(true);
@@ -1161,18 +1168,35 @@ pub fn profile(
         let fault_injection_hits = fbmpk_parallel::fault::injection_hits() - inject0;
         let fallbacks = barrier.fallbacks() + p2p.fallbacks() + rb.fallbacks() + rp.fallbacks();
 
-        registry.counter_add("profile.matrices", 1);
-        registry.counter_add("profile.modeled_matrix_bytes", modeled);
-        registry.counter_add("profile.sim_dram_bytes", sim);
-        registry.counter_add("profile.spans_recorded", spans as u64);
-        registry.counter_add("profile.spans_dropped", dropped_spans);
-        registry.counter_add("profile.fallbacks", fallbacks);
-        registry.counter_add("profile.watchdog_arms", arms1 - arms0);
-        registry.counter_add("profile.watchdog_fires", watchdog_fires);
-        registry.counter_add("profile.fault_injection_hits", fault_injection_hits);
-        registry.gauge_set(&format!("profile.{}.bw_barrier_gbs", c.entry.name), {
-            modeled as f64 / t_barrier / 1e9
-        });
+        add("fbmpk_profile_matrices_total", "Matrices profiled", 1);
+        add(
+            "fbmpk_profile_modeled_matrix_bytes_total",
+            "Modeled matrix bytes of one k-power call, summed over matrices",
+            modeled,
+        );
+        add(
+            "fbmpk_profile_sim_dram_bytes_total",
+            "Cache-simulated DRAM bytes of one k-power call, summed over matrices",
+            sim,
+        );
+        add("fbmpk_profile_spans_recorded_total", "Spans in the chrome trace", spans as u64);
+        add("fbmpk_profile_spans_dropped_total", "Spans lost to full lanes", dropped_spans);
+        add("fbmpk_profile_fallbacks_total", "Barrier fallbacks of stalled calls", fallbacks);
+        add("fbmpk_profile_watchdog_arms_total", "Stall-watchdog arms", arms1 - arms0);
+        add("fbmpk_profile_watchdog_fires_total", "Stall-watchdog fires", watchdog_fires);
+        add(
+            "fbmpk_profile_fault_injection_hits_total",
+            "Fault-injection sites hit",
+            fault_injection_hits,
+        );
+        let matrix = c.entry.name.replace(|ch: char| !ch.is_ascii_alphanumeric(), "_");
+        registry
+            .gauge(
+                &format!("fbmpk_profile_{matrix}_bw_barrier_gbs"),
+                "Effective matrix bandwidth under barrier sync",
+                1,
+            )
+            .set(0, modeled as f64 / t_barrier / 1e9);
         if live {
             // Feed the `repro top` dashboard: the current matrix's
             // effective bandwidth against the measured triad ceiling.
@@ -1196,7 +1220,7 @@ pub fn profile(
         for t in 0..rec_b.nthreads() {
             for s in rec_b.thread_spans(t) {
                 if s.kind.is_wait() {
-                    registry.observe("profile.wait_span_ns", s.duration_ns());
+                    wait_spans.observe(0, s.duration_ns());
                 }
             }
         }
@@ -1233,7 +1257,7 @@ pub fn profile(
     trace.add_process(phase_pid, "plan phases");
     fbmpk_obs::phases::add_to_trace(&mut trace, phase_pid);
     fbmpk_obs::phases::set_recording(false);
-    (rows, trace, registry)
+    (rows, trace, registry.snapshot())
 }
 
 // ----------------------------------------------------------- attribution
@@ -1676,7 +1700,7 @@ mod tests {
         let tr = tune(&cfg, &cases);
         assert_eq!(tr.len(), 3);
         assert!(tr.iter().all(|r| r.t_scalar > 0.0 && r.t_tuned > 0.0 && !r.variant.is_empty()));
-        let (pr, trace, registry) = profile(&cfg, &cases[..1], Some(10.0));
+        let (pr, trace, metrics) = profile(&cfg, &cases[..1], Some(10.0));
         assert_eq!(pr.len(), 1);
         let p = &pr[0];
         assert!(p.identical, "recording changed the numerics");
@@ -1690,7 +1714,8 @@ mod tests {
         assert!((0.0..=1.0).contains(&p.wait_frac_p2p), "{}", p.wait_frac_p2p);
         assert_eq!(p.dropped_spans, 0);
         assert!(!trace.is_empty());
-        assert!(registry.snapshot().iter().any(|(k, _)| k == "profile.spans_recorded"));
+        assert_eq!(metrics.counter_total("fbmpk_profile_matrices_total"), 1);
+        assert!(metrics.counter_total("fbmpk_profile_spans_recorded_total") > 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * per-plan sweep throughput (invocations/s from counter deltas),
 //! * overall and per-thread wait fractions as bars,
 //! * watchdog arms/fires, barrier fallbacks, fault-injection hits,
-//! * tune-cache hit rate and the top plan phases by accumulated time,
+//! * serving plan-cache hit rate and the top plan phases by accumulated time,
 //! * the traffic-attribution drill-down: worst blocks of the matrix
 //!   under `repro attribution`, three byte ledgers side by side.
 //!
@@ -169,13 +169,13 @@ pub fn render_frame(
          fallbacks {fallbacks:.0}   injected {inject:.0}"
     );
 
-    // Tune cache.
-    let hits = unlabeled(p, "fbmpk_tune_cache_hits_total").unwrap_or(0.0);
-    let misses = unlabeled(p, "fbmpk_tune_cache_misses_total").unwrap_or(0.0);
+    // Serving plan cache, summed over the servers in the process.
+    let hits = p.sum("fbmpk_serve_cache_hits_total");
+    let misses = p.sum("fbmpk_serve_cache_misses_total");
     if hits + misses > 0.0 {
         let _ = writeln!(
             out,
-            "tune cache {hits:.0} hits / {misses:.0} misses ({:.0}% hit rate)",
+            "plan cache {hits:.0} hits / {misses:.0} misses ({:.0}% hit rate)",
             100.0 * hits / (hits + misses)
         );
     }
@@ -353,12 +353,13 @@ fbmpk_thread_wait_fraction{plan=\"1\",thread=\"1\"} 0.1\n\
 # HELP fbmpk_watchdog_fires_total h\n\
 # TYPE fbmpk_watchdog_fires_total counter\n\
 fbmpk_watchdog_fires_total 2\n\
-# HELP fbmpk_tune_cache_hits_total h\n\
-# TYPE fbmpk_tune_cache_hits_total counter\n\
-fbmpk_tune_cache_hits_total 3\n\
-# HELP fbmpk_tune_cache_misses_total h\n\
-# TYPE fbmpk_tune_cache_misses_total counter\n\
-fbmpk_tune_cache_misses_total 1\n\
+# HELP fbmpk_serve_cache_hits_total h\n\
+# TYPE fbmpk_serve_cache_hits_total counter\n\
+fbmpk_serve_cache_hits_total{server=\"0\"} 2\n\
+fbmpk_serve_cache_hits_total{server=\"1\"} 1\n\
+# HELP fbmpk_serve_cache_misses_total h\n\
+# TYPE fbmpk_serve_cache_misses_total counter\n\
+fbmpk_serve_cache_misses_total{server=\"0\"} 1\n\
 # HELP fbmpk_phase_seconds_total h\n\
 # TYPE fbmpk_phase_seconds_total counter\n\
 fbmpk_phase_seconds_total{phase=\"tune.inspect\"} 0.25\n\

@@ -5,9 +5,9 @@
 //! inspection pass is amortized over many invocations. The inspector
 //! computes structural features, a cost model proposes candidate kernel
 //! variants, and (optionally) a one-shot micro-probe times the candidates
-//! and keeps the fastest. The resulting [`TunedPlan`] is cached by a
-//! structural fingerprint so repeated planning against the same matrix —
-//! the common pattern in solver setup code — costs one hash lookup.
+//! and keeps the fastest. The resulting [`TunedPlan`] is built once and
+//! reused for every product; [`fingerprint`] gives callers that cache
+//! plans (the serving layer's plan cache) a structural+numerical key.
 //!
 //! The variant space:
 //!
@@ -39,9 +39,8 @@ use fbmpk_sparse::simd::{self, SimdLevel};
 use fbmpk_sparse::spmv::{spmv_rows, spmv_rows_rowsplit, spmv_rows_unrolled4};
 use fbmpk_sparse::stats::MatrixStats;
 use fbmpk_sparse::Csr;
-use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Row-length threshold below which the row-split variant keeps the plain
@@ -170,14 +169,6 @@ pub struct TuneOptions {
     /// one per-thread span to the plan's recorder, and FBMPK plans
     /// derived via [`TunedPlan::fbmpk_plan`] record too.
     pub obs: ObsOptions,
-    /// ABMC blocking strategy for FBMPK plans derived via
-    /// [`TunedPlan::fbmpk_plan_auto`]. `None` (the default) lets the
-    /// cut-edge cost model choose: the strategy whose partition cuts the
-    /// fewest row-structure edges — and therefore induces the fewest
-    /// cross-block P2P dependency waits — wins. The choice is part of
-    /// the [`TunedPlan::cached`] key, so explicit and auto-selected
-    /// tunings never share a cache slot.
-    pub abmc_blocking: Option<BlockingStrategy>,
 }
 
 impl Default for TuneOptions {
@@ -188,34 +179,8 @@ impl Default for TuneOptions {
             probe_reps: 3,
             sync: SyncMode::default(),
             obs: ObsOptions::default(),
-            abmc_blocking: None,
         }
     }
-}
-
-/// Stable cache tag for the partitioner axis of [`TunedPlan::cached`]
-/// (0 = auto-select by cut edges).
-fn partitioner_tag(s: Option<BlockingStrategy>) -> u8 {
-    match s {
-        None => 0,
-        Some(BlockingStrategy::Contiguous) => 1,
-        Some(BlockingStrategy::Aggregated) => 2,
-        Some(BlockingStrategy::Multilevel) => 3,
-    }
-}
-
-/// Feeds the tune-cache hit/miss counters when live telemetry is on; one
-/// relaxed bool load otherwise.
-fn tune_cache_count(hit: bool) {
-    if !fbmpk_obs::live::enabled() {
-        return;
-    }
-    let (name, help) = if hit {
-        ("fbmpk_tune_cache_hits_total", "TunedPlan::cached lookups served from the plan cache")
-    } else {
-        ("fbmpk_tune_cache_misses_total", "TunedPlan::cached lookups that built a fresh plan")
-    };
-    fbmpk_obs::live::global().counter(name, help, 1).inc(0);
 }
 
 /// What the tuner decided and why — surfaced by `repro tune`.
@@ -267,8 +232,6 @@ pub struct TunedPlan {
     /// SpMV users should not pay). `None` inside means "built, not
     /// profitable on this matrix".
     levelblock: OnceLock<Option<LevelBlockPlan>>,
-    /// Explicit strategy override from [`TuneOptions::abmc_blocking`].
-    abmc_blocking: Option<BlockingStrategy>,
     /// Lazily-resolved cut-edge comparison (built on the first
     /// [`TunedPlan::blocking_strategy`] call without an override; the
     /// partitions cost O(nnz·levels) that plain-SpMV users never pay).
@@ -371,40 +334,9 @@ impl TunedPlan {
             obs: options.obs,
             recorder,
             levelblock: OnceLock::new(),
-            abmc_blocking: options.abmc_blocking,
             selected_blocking: OnceLock::new(),
             report,
         }
-    }
-
-    /// Returns the cached plan for `a` (building and inserting it on the
-    /// first call). The cache key is a structural+numerical fingerprint of
-    /// the matrix plus the thread count and the detected SIMD level, so
-    /// distinct matrices, executor widths, or CPU feature sets (e.g. a
-    /// plan serialized under `FBMPK_SIMD=scalar` and reloaded with AVX2
-    /// enabled) get distinct plans.
-    pub fn cached(a: &Csr, options: TuneOptions) -> Arc<TunedPlan> {
-        type PlanCache = Mutex<HashMap<(u64, usize, u8, u8, bool, u8), Arc<TunedPlan>>>;
-        static CACHE: OnceLock<PlanCache> = OnceLock::new();
-        let key = (
-            fingerprint(a),
-            options.nthreads,
-            options.sync as u8,
-            simd::detect() as u8,
-            options.obs.record,
-            partitioner_tag(options.abmc_blocking),
-        );
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        if let Some(plan) = cache.lock().expect("tune cache lock").get(&key) {
-            tune_cache_count(true);
-            return Arc::clone(plan);
-        }
-        tune_cache_count(false);
-        // Build outside the lock: planning can take milliseconds and must
-        // not serialize unrelated lookups.
-        let plan = Arc::new(TunedPlan::new(a, options));
-        let mut guard = cache.lock().expect("tune cache lock");
-        Arc::clone(guard.entry(key).or_insert(plan))
     }
 
     /// Matrix dimension.
@@ -412,14 +344,17 @@ impl TunedPlan {
         self.a.nrows()
     }
 
+    /// The matrix this plan was tuned for (the plan's own copy).
+    pub fn matrix(&self) -> &Csr {
+        &self.a
+    }
+
     /// The selected kernel variant.
     pub fn variant(&self) -> KernelVariant {
         self.variant
     }
 
-    /// The SIMD level detected when this plan was built (also part of the
-    /// [`TunedPlan::cached`] key, so a feature-set change invalidates
-    /// cached tunings).
+    /// The SIMD level detected when this plan was built.
     pub fn simd_level(&self) -> SimdLevel {
         self.simd
     }
@@ -470,20 +405,17 @@ impl TunedPlan {
     }
 
     /// The ABMC blocking strategy the tuner picks for `nblocks` blocks:
-    /// the [`TuneOptions::abmc_blocking`] override when set, otherwise
-    /// the strategy whose partition cuts the fewest row-structure edges
+    /// the strategy whose partition cuts the fewest row-structure edges —
+    /// and therefore induces the fewest cross-block P2P dependency waits
     /// (see [`select_blocking_strategy`]). The comparison runs once per
-    /// tuned plan and is cached for the first `nblocks` asked.
+    /// tuned plan and is cached for the first `nblocks` asked. For a fixed
+    /// strategy, pass it to [`TunedPlan::fbmpk_plan`] instead.
     pub fn blocking_strategy(&self, nblocks: usize) -> BlockingStrategy {
-        if let Some(s) = self.abmc_blocking {
-            return s;
-        }
         self.selected_blocking.get_or_init(|| select_blocking_strategy(&self.a, nblocks)).0
     }
 
     /// The per-strategy cut-edge counts behind the auto selection —
-    /// `None` until [`TunedPlan::blocking_strategy`] has resolved them
-    /// (or forever, under an explicit override).
+    /// `None` until [`TunedPlan::blocking_strategy`] has resolved them.
     pub fn blocking_cut_edges(&self) -> Option<&[(BlockingStrategy, usize)]> {
         self.selected_blocking.get().map(|(_, cuts)| cuts.as_slice())
     }
@@ -1174,31 +1106,15 @@ mod tests {
         let x0: Vec<f64> = (0..n).map(|i| ((i * 3 % 13) as f64) - 6.0).collect();
         let want = crate::StandardMpk::new(&a, 1).unwrap().power(&x0, 4);
         assert!(rel_err_inf(&fb.power(&x0, 4), &want) < 1e-11);
-        // An explicit override bypasses the comparison entirely.
-        let forced = TunedPlan::new(
-            &a,
-            TuneOptions {
-                nthreads: 2,
-                probe: false,
-                probe_reps: 1,
-                abmc_blocking: Some(BlockingStrategy::Multilevel),
+        // A fixed strategy goes through `fbmpk_plan` and matches too.
+        let forced = plan
+            .fbmpk_plan(Some(AbmcParams {
+                nblocks: 32,
+                strategy: BlockingStrategy::Multilevel,
                 ..Default::default()
-            },
-        );
-        assert_eq!(forced.blocking_strategy(32), BlockingStrategy::Multilevel);
-        assert!(forced.blocking_cut_edges().is_none());
-    }
-
-    #[test]
-    fn cache_distinguishes_partitioner_tag() {
-        let a = grid(7);
-        let base = TuneOptions { nthreads: 1, probe: false, probe_reps: 1, ..Default::default() };
-        let auto = TunedPlan::cached(&a, base);
-        let forced = TunedPlan::cached(
-            &a,
-            TuneOptions { abmc_blocking: Some(BlockingStrategy::Multilevel), ..base },
-        );
-        assert!(!Arc::ptr_eq(&auto, &forced), "override must not share the auto cache slot");
+            }))
+            .unwrap();
+        assert!(rel_err_inf(&forced.power(&x0, 4), &want) < 1e-11);
     }
 
     #[test]
@@ -1213,21 +1129,6 @@ mod tests {
         let refs: Vec<&[f64]> = dense.iter().map(|r| r.as_slice()).collect();
         let c = Csr::from_dense(&refs);
         assert_ne!(fingerprint(&a), fingerprint(&c));
-    }
-
-    #[test]
-    fn cache_returns_same_plan() {
-        let a = grid(7);
-        let opts = TuneOptions { nthreads: 1, probe: false, probe_reps: 1, ..Default::default() };
-        let p1 = TunedPlan::cached(&a, opts);
-        let p2 = TunedPlan::cached(&a, opts);
-        assert!(Arc::ptr_eq(&p1, &p2), "second lookup must hit the cache");
-        // A different thread count is a different plan.
-        let p3 = TunedPlan::cached(
-            &a,
-            TuneOptions { nthreads: 2, probe: false, probe_reps: 1, ..Default::default() },
-        );
-        assert!(!Arc::ptr_eq(&p1, &p3));
     }
 
     #[test]

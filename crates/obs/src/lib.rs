@@ -1,8 +1,9 @@
 //! # fbmpk-obs
 //!
 //! In-kernel observability for the FBMPK sweeps: a near-zero-overhead
-//! span recorder, a metrics registry, an optional `perf_event_open`
-//! hardware-counter wrapper, and a chrome://tracing exporter.
+//! span recorder, one live metrics registry with its exposition endpoint,
+//! an optional `perf_event_open` hardware-counter wrapper, and a
+//! chrome://tracing exporter.
 //!
 //! The paper's headline claim is a memory-traffic one — ⌈(k+1)/2⌉
 //! effective reads of `A` per power sequence — and the point-to-point
@@ -18,23 +19,27 @@
 //!   `P: Probe`; the [`NoopProbe`] instantiation has `ENABLED == false`,
 //!   so every instrumentation branch is a constant `if false` and the
 //!   monomorphized kernel is the uninstrumented loop, byte for byte.
-//! * [`metrics::Registry`] — counters, gauges and log₂-bucketed
-//!   histograms for modeled-vs-measured traffic accounting.
+//! * [`metrics::Histogram`] — the log₂-bucketed distribution behind
+//!   every histogram family.
 //! * [`perf`] — raw-syscall `perf_event_open` counters (cycles,
 //!   instructions, LLC misses) that degrade to `None` wherever the
 //!   syscall is unavailable (containers, CI, non-Linux).
 //! * [`trace::TraceBuilder`] — per-thread timelines in the chrome://tracing
 //!   "trace event" JSON format.
 //! * [`live`] / [`expo`] / [`serve`] / [`phases`] — the *live* half:
-//!   per-lane atomic metric cells coalesced into consistent snapshots,
-//!   rendered as Prometheus text exposition by a zero-dependency
-//!   `TcpListener` endpoint, plus coarse setup-phase spans (tuner,
-//!   partitioner, leveling, solver iterations) feeding both the endpoint
-//!   and the chrome trace. All of it is off (one relaxed bool) until an
-//!   endpoint or dashboard attaches.
+//!   per-lane atomic metric cells and scrape-time collectors coalesced
+//!   into consistent snapshots — the one registry every layer (kernels,
+//!   serving, `repro profile`) records into — rendered as Prometheus text
+//!   exposition by a zero-dependency `TcpListener` endpoint, plus coarse
+//!   setup-phase spans (tuner, partitioner, leveling, solver iterations)
+//!   feeding both the endpoint and the chrome trace. All of it is off
+//!   (one relaxed bool) until an endpoint or dashboard attaches.
+//! * [`http`] — the one bounded HTTP/1.1 request reader, response writer
+//!   and client, shared by the metrics endpoint and the serving layer.
 
 pub mod attribution;
 pub mod expo;
+pub mod http;
 pub mod live;
 pub mod metrics;
 pub mod perf;
@@ -51,7 +56,7 @@ pub use live::{
     FamilySnapshot, LiveCounter, LiveGauge, LiveHistogram, LiveRegistry, LiveSample, LiveSource,
     MetricKind, SampleValue, Snapshot,
 };
-pub use metrics::{Histogram, MetricValue, Registry};
+pub use metrics::Histogram;
 pub use perf::{HwSample, HwSession};
 pub use recorder::{Recorder, Span, SpanKind, SpanProbe};
 pub use serve::MetricsServer;

@@ -1,6 +1,6 @@
 //! Live telemetry: per-lane atomic metric cells and consistent snapshots.
 //!
-//! The post-mortem stack ([`crate::recorder`], [`crate::metrics`]) answers
+//! The post-mortem stack ([`crate::recorder`], [`crate::trace`]) answers
 //! "what happened" after a run finishes; this module answers "what is
 //! happening" while sweep workers are still in flight. The design reuses
 //! the recorder's lane discipline: every metric family owns one

@@ -1,15 +1,10 @@
-//! A small metrics registry: counters, gauges, log₂-bucketed histograms.
+//! The log₂-bucketed [`Histogram`] value type.
 //!
-//! The profiling harness uses it to put modeled bytes-of-`A` streamed per
-//! sweep next to measured wall time and the cache simulator's
-//! `TrafficReport`, so effective bandwidth and traffic-vs-model ratios
-//! come out of one uniform table instead of ad-hoc locals. Metrics are
-//! named, insertion-agnostic (stored sorted) and cheap enough to update
-//! from harvest loops; they are *not* meant for the kernel hot path —
-//! that is the span recorder's job.
-
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+//! It is the reading behind every histogram family of the live registry
+//! ([`crate::live`]): lane cells snapshot into one, the exposition
+//! ([`crate::expo`]) renders its buckets, and `repro profile` writes its
+//! summary into `BENCH_profile.json`. Named metrics themselves live in
+//! [`crate::live::LiveRegistry`].
 
 /// Exponential (log₂) histogram of `u64` samples: bucket `i` holds
 /// samples whose highest set bit is `i`, i.e. values in `[2^i, 2^{i+1})`
@@ -142,96 +137,9 @@ impl Histogram {
     }
 }
 
-/// One metric's current value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetricValue {
-    /// Monotonically increasing count.
-    Counter(u64),
-    /// Last-set value.
-    Gauge(f64),
-    /// Sample distribution (boxed: the bucket array dwarfs the other
-    /// variants).
-    Histogram(Box<Histogram>),
-}
-
-/// A named-metric registry. Thread-safe; lookups are by name.
-#[derive(Debug, Default)]
-pub struct Registry {
-    inner: Mutex<BTreeMap<String, MetricValue>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// Adds `delta` to counter `name` (created at 0).
-    ///
-    /// # Panics
-    /// Panics when `name` already holds a non-counter metric.
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        let mut map = self.inner.lock().expect("metrics registry lock");
-        match map.entry(name.to_string()).or_insert(MetricValue::Counter(0)) {
-            MetricValue::Counter(c) => *c += delta,
-            other => panic!("metric '{name}' is not a counter: {other:?}"),
-        }
-    }
-
-    /// Sets gauge `name` to `v`.
-    ///
-    /// # Panics
-    /// Panics when `name` already holds a non-gauge metric.
-    pub fn gauge_set(&self, name: &str, v: f64) {
-        let mut map = self.inner.lock().expect("metrics registry lock");
-        match map.entry(name.to_string()).or_insert(MetricValue::Gauge(0.0)) {
-            MetricValue::Gauge(g) => *g = v,
-            other => panic!("metric '{name}' is not a gauge: {other:?}"),
-        }
-    }
-
-    /// Records `v` into histogram `name` (created empty).
-    ///
-    /// # Panics
-    /// Panics when `name` already holds a non-histogram metric.
-    pub fn observe(&self, name: &str, v: u64) {
-        let mut map = self.inner.lock().expect("metrics registry lock");
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| MetricValue::Histogram(Box::new(Histogram::new())))
-        {
-            MetricValue::Histogram(h) => h.observe(v),
-            other => panic!("metric '{name}' is not a histogram: {other:?}"),
-        }
-    }
-
-    /// Snapshot of every metric, sorted by name.
-    pub fn snapshot(&self) -> Vec<(String, MetricValue)> {
-        self.inner
-            .lock()
-            .expect("metrics registry lock")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_and_gauges() {
-        let reg = Registry::new();
-        reg.counter_add("bytes", 10);
-        reg.counter_add("bytes", 5);
-        reg.gauge_set("ratio", 1.5);
-        reg.gauge_set("ratio", 2.5);
-        let snap = reg.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0], ("bytes".to_string(), MetricValue::Counter(15)));
-        assert_eq!(snap[1], ("ratio".to_string(), MetricValue::Gauge(2.5)));
-    }
 
     #[test]
     fn histogram_log2_buckets() {
@@ -248,28 +156,6 @@ mod tests {
         // 4 in bucket 2 (hi=7), 1000 in bucket 9 (hi=1023).
         assert_eq!(buckets, vec![(1, 2), (3, 2), (7, 1), (1023, 1)]);
         assert!((h.mean() - 1010.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn registry_histograms() {
-        let reg = Registry::new();
-        reg.observe("wait_ns", 100);
-        reg.observe("wait_ns", 200);
-        match &reg.snapshot()[0].1 {
-            MetricValue::Histogram(h) => {
-                assert_eq!(h.count(), 2);
-                assert_eq!(h.sum(), 300);
-            }
-            other => panic!("expected histogram, got {other:?}"),
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "not a counter")]
-    fn kind_mismatch_rejected() {
-        let reg = Registry::new();
-        reg.gauge_set("x", 1.0);
-        reg.counter_add("x", 1);
     }
 
     #[test]

@@ -3,20 +3,21 @@
 //! one connection at a time. That is deliberate: a scrape every second
 //! from one Prometheus (or one `repro top`) is the design load, and a
 //! single-threaded accept loop cannot amplify into anything that
-//! perturbs the sweep workers it is observing.
+//! perturbs the sweep workers it is observing. Requests are read and
+//! answered through the shared bounded [`crate::http`] module.
 //!
 //! Lifecycle: [`MetricsServer::start`] binds (port 0 picks a free port,
 //! see [`MetricsServer::local_addr`]), flips the [`crate::live`] gate on,
 //! and serves `GET /metrics` until [`MetricsServer::shutdown`] or process
 //! exit. Shutdown sets a flag and self-connects to unblock `accept`.
 
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::expo;
+use crate::http::{self, read_request, Request, Response};
 use crate::live::{self, LiveRegistry};
 
 /// A running exposition endpoint.
@@ -78,94 +79,45 @@ impl Drop for MetricsServer {
     }
 }
 
-/// Handles one connection: parse the request line, route, respond, close
+/// Handles one connection: read the request, route, respond, close
 /// (`Connection: close` — scrapers reconnect per poll). Every failure
 /// mode gets a typed answer before the close: an oversized head is 413,
-/// a request that never completes (EOF or read timeout before the
-/// header terminator) or has a broken request line is 400 — never a
-/// silently dropped connection the client has to time out against.
+/// a broken request is 400, and so is a request that never completes
+/// (EOF or read timeout before the header terminator) — never a silently
+/// dropped connection the client has to time out against.
 fn serve_one(mut stream: TcpStream, registry: &LiveRegistry) -> std::io::Result<()> {
-    let mut buf = [0u8; 4096];
-    let mut len = 0;
-    let (mut complete, mut oversize) = (false, false);
-    // Read until the header terminator; anything longer than 4 KiB of
-    // headers is not a scraper we care about.
-    loop {
-        if buf[..len].windows(4).any(|w| w == b"\r\n\r\n") {
-            complete = true;
-            break;
-        }
-        if len == buf.len() {
-            oversize = true;
-            break;
-        }
-        match stream.read(&mut buf[len..]) {
-            Ok(0) => break,
-            Ok(n) => len += n,
-            // Timed out mid-head: still answer before closing.
-            Err(_) => break,
-        }
-    }
-
-    let (status, ctype, body) = if oversize {
-        ("413 Payload Too Large", "text/plain", "request head exceeds 4 KiB\n".to_string())
-    } else if !complete {
-        ("400 Bad Request", "text/plain", "malformed request: no header terminator\n".to_string())
-    } else {
-        let request = String::from_utf8_lossy(&buf[..len]);
-        let mut parts = request.lines().next().unwrap_or("").split(' ');
-        let (method, path, version) =
-            (parts.next().unwrap_or(""), parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-        let path = path.split('?').next().unwrap_or(path);
-        if method.is_empty()
-            || !method.bytes().all(|b| b.is_ascii_uppercase())
-            || !path.starts_with('/')
-            || !version.starts_with("HTTP/")
-        {
-            ("400 Bad Request", "text/plain", "malformed request line\n".to_string())
-        } else {
-            match (method, path) {
-                ("GET", "/metrics") => {
-                    ("200 OK", expo::CONTENT_TYPE, expo::render(&registry.snapshot()))
-                }
-                ("GET", "/") => (
-                    "200 OK",
-                    "text/plain",
-                    "fbmpk metrics endpoint; scrape /metrics\n".to_string(),
-                ),
-                ("GET", _) => ("404 Not Found", "text/plain", "not found\n".to_string()),
-                _ => ("405 Method Not Allowed", "text/plain", "GET only\n".to_string()),
-            }
-        }
+    let response = match read_request(&mut stream) {
+        Ok(req) => route(&req, registry),
+        Err(e) => e
+            .response()
+            .unwrap_or_else(|| Response::text(400, "malformed request: incomplete head\n")),
     };
-    write!(
-        stream,
-        "HTTP/1.1 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    stream.flush()
+    response.write(&mut stream)
 }
 
-/// Fetches `http://addr/metrics` over a raw [`TcpStream`] and returns the
-/// body — the scraper half used by `repro top` and the smoke tests.
+fn route(req: &Request, registry: &LiveRegistry) -> Response {
+    match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/metrics") => Response {
+            content_type: expo::CONTENT_TYPE,
+            ..Response::text(200, expo::render(&registry.snapshot()))
+        },
+        ("GET", "/") => Response::text(200, "fbmpk metrics endpoint; scrape /metrics\n"),
+        ("GET", _) => Response::text(404, "not found\n"),
+        _ => Response::text(405, "GET only\n"),
+    }
+}
+
+/// Fetches `http://addr/metrics` through the shared client and returns
+/// the body — the scraper half used by `repro top` and the smoke tests.
 pub fn scrape(addr: SocketAddr, timeout: Duration) -> std::io::Result<String> {
-    let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    write!(stream, "GET /metrics HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    let Some((head, body)) = response.split_once("\r\n\r\n") else {
-        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "no header terminator"));
-    };
-    let status = head.lines().next().unwrap_or("");
-    if !status.contains("200") {
+    let response = http::request(addr, "GET", "/metrics", &[], "", timeout)?;
+    if response.status != 200 {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            format!("scrape failed: {status}"),
+            format!("scrape failed: status {}", response.status),
         ));
     }
-    Ok(body.to_string())
+    Ok(response.body)
 }
 
 /// Starts the process-global endpoint on `addr` exactly once and leaks it
@@ -206,53 +158,19 @@ mod tests {
     }
 
     #[test]
-    fn unknown_path_is_404() {
+    fn routes_and_content_types() {
         static REG: std::sync::OnceLock<LiveRegistry> = std::sync::OnceLock::new();
         let reg = REG.get_or_init(LiveRegistry::new);
         let server = MetricsServer::start("127.0.0.1:0".parse().unwrap(), reg).expect("bind");
-        let addr = server.local_addr();
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write!(stream, "GET /nope HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        assert!(response.starts_with("HTTP/1.1 404"), "{response}");
-    }
-
-    /// Sends raw bytes (optionally closing the write side early) and
-    /// returns the raw response — the server may reject mid-request, so
-    /// the client half tolerates transport errors.
-    fn send_raw(addr: SocketAddr, raw: &[u8], close_write: bool) -> String {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let _ = stream.write_all(raw);
-        if close_write {
-            let _ = stream.shutdown(std::net::Shutdown::Write);
-        }
-        let mut response = String::new();
-        let _ = stream.read_to_string(&mut response);
-        response
-    }
-
-    #[test]
-    fn malformed_requests_get_a_typed_400() {
-        static REG: std::sync::OnceLock<LiveRegistry> = std::sync::OnceLock::new();
-        let reg = REG.get_or_init(LiveRegistry::new);
-        let server = MetricsServer::start("127.0.0.1:0".parse().unwrap(), reg).expect("bind");
-        let addr = server.local_addr();
-        // Garbage request line: answered, not dropped.
-        let r = send_raw(addr, b"not http at all\r\n\r\n", false);
-        assert!(r.starts_with("HTTP/1.1 400"), "{r}");
-        // Incomplete head, then EOF: still a typed 400.
-        let r = send_raw(addr, b"GET /metrics HTTP/1.1\r\n", true);
-        assert!(r.starts_with("HTTP/1.1 400"), "{r}");
-    }
-
-    #[test]
-    fn oversized_head_gets_413() {
-        static REG: std::sync::OnceLock<LiveRegistry> = std::sync::OnceLock::new();
-        let reg = REG.get_or_init(LiveRegistry::new);
-        let server = MetricsServer::start("127.0.0.1:0".parse().unwrap(), reg).expect("bind");
-        let huge = vec![b'A'; 8192];
-        let r = send_raw(server.local_addr(), &huge, true);
-        assert!(r.starts_with("HTTP/1.1 413"), "{r}");
+        let get = |method: &str, path: &str| {
+            http::request(server.local_addr(), method, path, &[], "", Duration::from_secs(5))
+                .expect("typed answer")
+        };
+        let metrics = get("GET", "/metrics");
+        assert_eq!(metrics.status, 200);
+        assert_eq!(metrics.header("content-type"), Some(expo::CONTENT_TYPE));
+        assert_eq!(get("GET", "/").header("content-type"), Some("text/plain"));
+        assert_eq!(get("GET", "/nope").status, 404);
+        assert_eq!(get("POST", "/metrics").status, 405);
     }
 }

@@ -178,9 +178,7 @@ impl PowerBatcher {
             match rx.recv() {
                 Ok(Msg::Done(out)) => return Ok(out),
                 Ok(Msg::Lead) => self.lead(&slot, key, a, k, on_execute),
-                Err(_) => {
-                    return Err("batch leader failed before distributing results".to_string())
-                }
+                Err(_) => return Err("batch leader failed before distributing results".to_string()),
             }
         }
     }
@@ -189,7 +187,14 @@ impl PowerBatcher {
     /// is empty or the tenure cap is reached (then hand off to a parked
     /// follower). On unwind the guard resets the slot (see
     /// [`AbdicateOnUnwind`]).
-    fn lead(&self, slot: &SharedSlot, key: (u64, usize), a: &Csr, k: usize, on_execute: &dyn Fn(usize)) {
+    fn lead(
+        &self,
+        slot: &SharedSlot,
+        key: (u64, usize),
+        a: &Csr,
+        k: usize,
+        on_execute: &dyn Fn(usize),
+    ) {
         let mut guard = AbdicateOnUnwind { slot: Arc::clone(slot), armed: true };
         let mut rounds = 0;
         loop {
@@ -334,7 +339,10 @@ mod tests {
         let out = b.power(fp, 2, &a, vec![1.0; a.nrows()], NOOP);
         let out = out.expect("slot must serve again after a leader panic");
         assert_eq!(out.width, 1);
-        assert_eq!(out.y, block_power(&a, &MultiVec::from_columns(&[vec![1.0; a.nrows()]]), 2).column(0));
+        assert_eq!(
+            out.y,
+            block_power(&a, &MultiVec::from_columns(&[vec![1.0; a.nrows()]]), 2).column(0)
+        );
     }
 
     /// Sustained hammering of one `(fp, k)` must never deadlock or
@@ -351,8 +359,7 @@ mod tests {
                 let (a, batcher) = (Arc::clone(&a), Arc::clone(&batcher));
                 std::thread::spawn(move || {
                     for i in 0..6 {
-                        let x: Vec<f64> =
-                            (0..n).map(|j| ((j + 13 * r + i) as f64).sin()).collect();
+                        let x: Vec<f64> = (0..n).map(|j| ((j + 13 * r + i) as f64).sin()).collect();
                         let out = batcher.power(fp, 3, &a, x.clone(), NOOP).unwrap();
                         let solo = block_power(&a, &MultiVec::from_columns(&[x]), 3).column(0);
                         assert_eq!(out.y, solo, "request {r}.{i}");

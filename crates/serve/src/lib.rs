@@ -4,10 +4,11 @@
 //! work it builds on) only pays off when the cost of tuning is amortized
 //! over many executions. This crate turns the library into a
 //! long-running service where that amortization actually happens:
-//! concurrent tenants POST power/SpMV/MPK requests over the same
-//! hand-rolled HTTP/1.1 machinery the metrics endpoint uses, and tuned
-//! plans are cached, shared, and defended against every hostile scenario
-//! a fleet of requests can produce.
+//! concurrent tenants POST power/SpMV/MPK requests over the bounded
+//! HTTP/1.1 module the metrics endpoint also uses ([`fbmpk_obs::http`],
+//! re-exported with the vector wire format as [`http`] and [`client`]),
+//! and tuned plans are cached, shared, and defended against every hostile
+//! scenario a fleet of requests can produce.
 //!
 //! The pieces, bottom-up:
 //!
@@ -36,8 +37,9 @@
 //!   width-1 run, so batched results are bit-identical to sequential
 //!   execution — asserted in `tests/serve_props.rs`.
 //! * [`metrics`] — every admission, shed, fault, deadline, cache and
-//!   batch decision counted, mirrored into the live telemetry registry
-//!   ([`fbmpk_obs::live`]) for the exposition endpoint.
+//!   batch decision counted; the counter block is a scrape-time collector
+//!   of the live telemetry registry ([`fbmpk_obs::live`]), so an attached
+//!   exposition endpoint shows it labeled `server="<id>"`.
 //! * [`server`] — the listener/handler threads tying it together.
 //!   Per-request deadlines re-arm the watchdog of the shared plan
 //!   ([`fbmpk::FbmpkPlan::try_power_deadline`]); expiry maps to a typed

@@ -2,25 +2,42 @@
 //!
 //! Every admission, shed, degradation, deadline expiry, fault, cache
 //! and batch decision increments exactly one counter here. The counters
-//! are plain atomics (readable in-process via [`ServeMetrics::snapshot`]
-//! and the `/v1/stats` endpoint) and are mirrored into the process-wide
-//! live telemetry registry ([`fbmpk_obs::live`]) so the exposition
-//! endpoint and `repro top` see the serving families next to the kernel
-//! families.
+//! are plain atomics, readable in-process via [`ServeMetrics::snapshot`]
+//! and the `/v1/stats` endpoint. The block is also a scrape-time
+//! collector ([`LiveSource`]): [`crate::Server::start`] registers it with
+//! the process-wide live registry ([`fbmpk_obs::live`]), so the
+//! exposition endpoint and `repro top` read the serving families, labeled
+//! `server="<id>"`, next to the kernel families — an increment is one
+//! relaxed `fetch_add` and nothing else.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use fbmpk_obs::live::{FamilySnapshot, LiveSample, LiveSource, MetricKind, SampleValue};
 
 use crate::admission::ShedReason;
 
 macro_rules! serve_metrics {
     ($( $field:ident => ($name:literal, $help:literal) ),+ $(,)?) => {
         /// Counter block for one server instance.
-        #[derive(Debug, Default)]
+        #[derive(Debug)]
         pub struct ServeMetrics {
+            /// Process-unique instance id: the `server` label of the live
+            /// families.
+            pub(crate) id: u64,
             $(
                 #[doc = $help]
                 pub $field: AtomicU64,
             )+
+        }
+
+        impl Default for ServeMetrics {
+            fn default() -> Self {
+                static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+                ServeMetrics {
+                    id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+                    $( $field: AtomicU64::new(0), )+
+                }
+            }
         }
 
         /// A point-in-time copy of every counter.
@@ -51,19 +68,24 @@ macro_rules! serve_metrics {
                 )+
                 out
             }
+        }
 
-            fn live_name(field: &str) -> Option<&'static str> {
-                match field {
-                    $( stringify!($field) => Some($name), )+
-                    _ => None,
-                }
-            }
-
-            fn live_help(field: &str) -> Option<&'static str> {
-                match field {
-                    $( stringify!($field) => Some($help), )+
-                    _ => None,
-                }
+        impl LiveSource for ServeMetrics {
+            fn collect(&self) -> Vec<FamilySnapshot> {
+                let labels = vec![("server".to_string(), self.id.to_string())];
+                vec![
+                    $(
+                        FamilySnapshot {
+                            name: $name.to_string(),
+                            help: $help.to_string(),
+                            kind: MetricKind::Counter,
+                            samples: vec![LiveSample {
+                                labels: labels.clone(),
+                                value: SampleValue::Counter(self.$field.load(Ordering::Relaxed)),
+                            }],
+                        },
+                    )+
+                ]
             }
         }
 
@@ -109,24 +131,18 @@ serve_metrics! {
 }
 
 impl ServeMetrics {
-    /// Increments `field`'s counter and mirrors it into the live
-    /// registry (lane 0 — serving counters are not per-thread).
-    pub fn inc(&self, counter: &AtomicU64, field: &'static str) {
+    /// Increments one of this block's counters.
+    pub fn inc(&self, counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
-        if let (Some(name), Some(help)) = (Self::live_name(field), Self::live_help(field)) {
-            if fbmpk_obs::live::enabled() {
-                fbmpk_obs::live::global().counter(name, help, 1).inc(0);
-            }
-        }
     }
 
     /// The shed counter for `reason`.
     pub fn count_shed(&self, reason: ShedReason) {
         match reason {
-            ShedReason::QueueFull => self.inc(&self.shed_queue_full, "shed_queue_full"),
-            ShedReason::TenantQuota => self.inc(&self.shed_tenant_quota, "shed_tenant_quota"),
-            ShedReason::NewTenant => self.inc(&self.shed_new_tenant, "shed_new_tenant"),
-            ShedReason::Uncached => self.inc(&self.shed_uncached, "shed_uncached"),
+            ShedReason::QueueFull => self.inc(&self.shed_queue_full),
+            ShedReason::TenantQuota => self.inc(&self.shed_tenant_quota),
+            ShedReason::NewTenant => self.inc(&self.shed_new_tenant),
+            ShedReason::Uncached => self.inc(&self.shed_uncached),
         }
     }
 }
@@ -145,9 +161,9 @@ mod tests {
     #[test]
     fn render_parse_round_trips() {
         let m = ServeMetrics::default();
-        m.inc(&m.requests, "requests");
-        m.inc(&m.requests, "requests");
-        m.inc(&m.ok, "ok");
+        m.inc(&m.requests);
+        m.inc(&m.requests);
+        m.inc(&m.ok);
         m.count_shed(ShedReason::QueueFull);
         m.count_shed(ShedReason::Uncached);
         let snap = StatsSnapshot::parse(&m.render());
@@ -175,14 +191,23 @@ mod tests {
     }
 
     #[test]
-    fn live_registry_mirrors_when_enabled() {
-        fbmpk_obs::live::set_enabled(true);
+    fn collector_reports_every_counter_under_the_server_label() {
         let m = ServeMetrics::default();
-        let before =
-            fbmpk_obs::live::global().snapshot().counter_total("fbmpk_serve_worker_fault_total");
-        m.inc(&m.worker_fault, "worker_fault");
-        let after =
-            fbmpk_obs::live::global().snapshot().counter_total("fbmpk_serve_worker_fault_total");
-        assert_eq!(after, before + 1, "shed/fault decisions must reach the live registry");
+        m.inc(&m.worker_fault);
+        m.count_shed(ShedReason::TenantQuota);
+        let fams = m.collect();
+        assert_eq!(fams.len(), m.render().lines().count(), "one family per counter");
+        let server = m.id.to_string();
+        for f in &fams {
+            assert_eq!(f.kind, MetricKind::Counter);
+            assert_eq!(f.samples.len(), 1);
+            assert_eq!(f.samples[0].labels, vec![("server".to_string(), server.clone())]);
+        }
+        let value =
+            |name: &str| fams.iter().find(|f| f.name == name).map(|f| f.samples[0].value.clone());
+        assert_eq!(value("fbmpk_serve_worker_fault_total"), Some(SampleValue::Counter(1)));
+        assert_eq!(value("fbmpk_serve_shed_tenant_quota_total"), Some(SampleValue::Counter(1)));
+        assert_eq!(value("fbmpk_serve_ok_total"), Some(SampleValue::Counter(0)));
+        assert_ne!(ServeMetrics::default().id, m.id, "instances get distinct labels");
     }
 }

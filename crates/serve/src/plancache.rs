@@ -1,11 +1,10 @@
 //! The single-flight plan cache.
 //!
-//! [`fbmpk::TunedPlan::cached`] deduplicates *identical* plans but lets
-//! concurrent first requests race: each builds its own plan and all but
-//! one are discarded. At serving scale an inspection costs milliseconds
-//! to seconds, so the cache here is single-flight: the first request for
-//! a fingerprint builds while later arrivals block on a condvar and
-//! share the result. A build that fails (or panics) is *negatively*
+//! At serving scale an inspection costs milliseconds to seconds, so
+//! concurrent first requests for one matrix must not each build their
+//! own plan: the cache is single-flight. The first request for a
+//! fingerprint builds while later arrivals block on a condvar and share
+//! the result. A build that fails (or panics) is *negatively*
 //! cached: repeats of the same doomed request are refused instantly for
 //! a TTL that doubles with each consecutive failure, so a crashing
 //! tenant cannot wedge the cache — or the builder threads — by
@@ -75,11 +74,7 @@ enum Slot<T> {
     },
     /// A failed build; refused until `until`, then retried. `failures`
     /// survives the decay so repeat offenders back off exponentially.
-    Poisoned {
-        until: Instant,
-        failures: u32,
-        detail: String,
-    },
+    Poisoned { until: Instant, failures: u32, detail: String },
 }
 
 struct Slots<T> {

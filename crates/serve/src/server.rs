@@ -39,7 +39,7 @@ use fbmpk_sparse::Csr;
 
 use crate::admission::{Admission, Decision};
 use crate::batch::PowerBatcher;
-use crate::http::{read_request, render_vector, ReadError, Request, Response};
+use crate::http::{read_request, render_vector, Request, Response};
 use crate::metrics::ServeMetrics;
 use crate::plancache::{CacheError, CacheOutcome, PlanCache};
 use crate::spec::RequestSpec;
@@ -92,9 +92,9 @@ const SPEC_FP_CAP: usize = 4096;
 
 /// A cached per-matrix plan bundle.
 pub struct PlanEntry {
-    /// The matrix itself (the `power` batching path reads it directly).
-    pub csr: Csr,
-    /// The tuned SpMV executor.
+    /// The tuned SpMV executor; it also holds the plan's one CSR copy,
+    /// which the `power` batching path reads through
+    /// [`TunedPlan::matrix`].
     pub tuned: TunedPlan,
     /// The FBMPK fused-kernel plan (point-to-point sync, so per-request
     /// deadlines are enforceable).
@@ -115,9 +115,13 @@ fn build_entry(csr: Csr, degrade: bool, threads: usize) -> Result<PlanEntry, Str
         ..Default::default()
     };
     let tuned = TunedPlan::new(&csr, options);
-    let nblocks = (threads * 4).max(1).min(csr.nrows().max(1));
+    // The tuned plan holds the entry's one copy of the matrix. Free this
+    // one before the FBMPK build, whose transients set a cold request's
+    // memory peak.
+    drop(csr);
+    let nblocks = (threads * 4).max(1).min(tuned.n().max(1));
     let fbmpk = tuned.fbmpk_plan_auto(nblocks).map_err(|e| e.to_string())?;
-    Ok(PlanEntry { csr, tuned, fbmpk, exec: Mutex::new(()), degraded: degrade })
+    Ok(PlanEntry { tuned, fbmpk, exec: Mutex::new(()), degraded: degrade })
 }
 
 struct State {
@@ -146,14 +150,18 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds and starts accepting. Flips the live-telemetry gate on so
-    /// the serving counters reach the exposition endpoint.
+    /// Binds and starts accepting. Registers the serving counters with
+    /// the process-wide live registry (labeled `server="<id>"`; they drop
+    /// out of scrapes with the last handle) and flips the live-telemetry
+    /// gate on, so served plans feed the exposition endpoint too.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(cfg.addr)?;
         let addr = listener.local_addr()?;
         fbmpk_obs::live::set_enabled(true);
+        let metrics = Arc::new(ServeMetrics::default());
+        fbmpk_obs::live::global().register_source(Arc::<ServeMetrics>::downgrade(&metrics));
         let state = Arc::new(State {
-            metrics: Arc::new(ServeMetrics::default()),
+            metrics,
             admission: Arc::new(Admission::new(cfg.queue_cap, cfg.tenant_cap, cfg.handlers)),
             cache: PlanCache::new(cfg.neg_ttl, cfg.plan_cache_cap),
             spec_fps: Mutex::new(HashMap::new()),
@@ -293,25 +301,21 @@ fn serve_one(state: &State, queued: &mut Queued) {
     let m = &state.metrics;
     let request = match read_request(&mut queued.stream) {
         Ok(r) => r,
-        Err(ReadError::Malformed(msg)) => {
-            m.inc(&m.bad_request, "bad_request");
-            let _ = Response::text(400, format!("{msg}\n")).write(&mut queued.stream);
+        Err(e) => {
+            // A transport error has no response: the peer vanished.
+            if let Some(response) = e.response() {
+                m.inc(&m.bad_request);
+                let _ = response.write(&mut queued.stream);
+            }
             return;
         }
-        Err(ReadError::TooLarge(msg)) => {
-            m.inc(&m.bad_request, "bad_request");
-            let _ = Response::text(413, format!("{msg}\n")).write(&mut queued.stream);
-            return;
-        }
-        // The peer vanished; there is no one to respond to.
-        Err(ReadError::Io(_)) => return,
     };
-    m.inc(&m.requests, "requests");
+    m.inc(&m.requests);
     let response = route(state, &request, queued.arrived);
     match response.status {
-        200 => m.inc(&m.ok, "ok"),
-        400 | 405 | 413 => m.inc(&m.bad_request, "bad_request"),
-        404 => m.inc(&m.not_found, "not_found"),
+        200 => m.inc(&m.ok),
+        400 | 405 | 413 => m.inc(&m.bad_request),
+        404 => m.inc(&m.not_found),
         // 429/500/503 are counted at their creation sites, where the
         // reason is known.
         _ => {}
@@ -357,7 +361,7 @@ fn kernel_request(state: &State, request: &Request, arrived: Instant) -> Respons
     if queued_ms >= deadline_ms {
         // Covers the degenerate `X-Deadline-Ms: 0` budget too. Expiring
         // *before* admission spends no capacity on a doomed request.
-        m.inc(&m.deadline_expired, "deadline_expired");
+        m.inc(&m.deadline_expired);
         return Response::text(
             503,
             format!("deadline expired before execution: budget {deadline_ms} ms, queued {queued_ms} ms\n"),
@@ -386,14 +390,13 @@ fn kernel_request(state: &State, request: &Request, arrived: Instant) -> Respons
     // inspector crash, a kernel assertion, an injected fault the pool
     // did not already convert — becomes a typed 500 for THIS request.
     // The ticket, queue, cache, and pools all stay healthy.
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        execute(state, &request.path, &spec, deadline, degrade)
-    }));
+    let outcome =
+        catch_unwind(AssertUnwindSafe(|| execute(state, &request.path, &spec, deadline, degrade)));
     drop(ticket);
     let response = match outcome {
         Ok(response) => response,
         Err(payload) => {
-            m.inc(&m.worker_fault, "worker_fault");
+            m.inc(&m.worker_fault);
             let msg = payload
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
@@ -417,7 +420,7 @@ fn remaining_ms(deadline: Instant) -> u64 {
 /// The typed 503 for a budget that ran out before the kernel started
 /// (plan building and queueing behind a batch both spend budget).
 fn deadline_expired_response(m: &ServeMetrics, stage: &str) -> Response {
-    m.inc(&m.deadline_expired, "deadline_expired");
+    m.inc(&m.deadline_expired);
     Response::text(503, format!("deadline expired before {stage}\n"))
         .with_header("X-Fbmpk-Deadline", "expired")
 }
@@ -470,34 +473,32 @@ fn execute(
     }) {
         Ok((entry, outcome)) => {
             match outcome {
-                CacheOutcome::Hit => m.inc(&m.cache_hits, "cache_hits"),
-                CacheOutcome::Built => m.inc(&m.cache_misses, "cache_misses"),
-                CacheOutcome::Waited => {
-                    m.inc(&m.cache_singleflight_waits, "cache_singleflight_waits")
-                }
+                CacheOutcome::Hit => m.inc(&m.cache_hits),
+                CacheOutcome::Built => m.inc(&m.cache_misses),
+                CacheOutcome::Waited => m.inc(&m.cache_singleflight_waits),
             }
             entry
         }
         Err(CacheError::NegativelyCached { detail, retry_in }) => {
-            m.inc(&m.cache_negative_hits, "cache_negative_hits");
-            m.inc(&m.plan_unavailable, "plan_unavailable");
+            m.inc(&m.cache_negative_hits);
+            m.inc(&m.plan_unavailable);
             return Response::text(503, format!("plan negatively cached: {detail}\n"))
                 .with_header("Retry-After", retry_in.as_secs().max(1).to_string())
                 .with_header("X-Fbmpk-Plan", "negative-cached");
         }
         Err(CacheError::BuildFailed { detail }) => {
-            m.inc(&m.cache_build_failures, "cache_build_failures");
-            m.inc(&m.plan_unavailable, "plan_unavailable");
+            m.inc(&m.cache_build_failures);
+            m.inc(&m.plan_unavailable);
             return Response::text(503, format!("plan build failed: {detail}\n"))
                 .with_header("X-Fbmpk-Plan", "build-failed");
         }
     };
-    let x = match spec.x.materialize(entry.csr.nrows()) {
+    let x = match spec.x.materialize(entry.tuned.n()) {
         Ok(x) => x,
         Err(e) => return Response::text(400, format!("{e}\n")),
     };
     if entry.degraded {
-        m.inc(&m.degraded, "degraded");
+        m.inc(&m.degraded);
     }
     let tag_degraded = |r: Response| {
         if entry.degraded {
@@ -516,7 +517,7 @@ fn execute(
     }
     match path {
         "/v1/spmv" => {
-            let mut y = vec![0.0; entry.csr.nrows()];
+            let mut y = vec![0.0; entry.tuned.n()];
             if entry.degraded {
                 entry.tuned.spmv_scalar(&x, &mut y);
             } else {
@@ -528,11 +529,11 @@ fn execute(
             // `batch_executions` counts SpMM executions (incremented by
             // whichever request leads the batch); `batched` counts
             // requests that shared a width > 1 batch.
-            let count_exec = |_width: usize| m.inc(&m.batch_executions, "batch_executions");
-            match state.batcher.power(fp, spec.k, &entry.csr, x, &count_exec) {
+            let count_exec = |_width: usize| m.inc(&m.batch_executions);
+            match state.batcher.power(fp, spec.k, entry.tuned.matrix(), x, &count_exec) {
                 Ok(out) => {
                     if out.width > 1 {
-                        m.inc(&m.batched, "batched");
+                        m.inc(&m.batched);
                     }
                     tag_degraded(
                         Response::text(200, render_vector(&out.y))
@@ -540,7 +541,7 @@ fn execute(
                     )
                 }
                 Err(e) => {
-                    m.inc(&m.worker_fault, "worker_fault");
+                    m.inc(&m.worker_fault);
                     Response::text(500, format!("worker fault: {e}\n"))
                         .with_header("X-Fbmpk-Fault", "batch-leader")
                 }
@@ -559,7 +560,7 @@ fn execute(
             match entry.fbmpk.try_power_deadline(&x, spec.k, remaining) {
                 Ok(y) => tag_degraded(Response::text(200, render_vector(&y))),
                 Err(FbmpkError::Stalled { waited_ms, dump, .. }) => {
-                    m.inc(&m.deadline_expired, "deadline_expired");
+                    m.inc(&m.deadline_expired);
                     Response::text(
                         503,
                         format!(
@@ -570,7 +571,7 @@ fn execute(
                     .with_header("X-Fbmpk-Deadline", "expired")
                 }
                 Err(e @ FbmpkError::WorkerPanicked { .. }) => {
-                    m.inc(&m.worker_fault, "worker_fault");
+                    m.inc(&m.worker_fault);
                     Response::text(500, format!("worker fault: {e}\n"))
                         .with_header("X-Fbmpk-Fault", "worker-panic")
                 }
@@ -698,5 +699,76 @@ mod tests {
         assert_eq!(ok.status, 200);
         assert_eq!(server.metrics().snapshot().deadline_expired, 1);
         server.shutdown();
+    }
+
+    /// Sends raw bytes (optionally closing the write side early) and
+    /// returns the answered status — the listener may reject
+    /// mid-request, so the client half tolerates transport errors.
+    fn raw_status(addr: SocketAddr, raw: &[u8], close_write: bool) -> Option<u16> {
+        use std::io::{Read, Write};
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let _ = stream.write_all(raw);
+        if close_write {
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+        }
+        let mut response = String::new();
+        let _ = stream.read_to_string(&mut response);
+        crate::client::parse_response(&response).map(|r| r.status)
+    }
+
+    #[test]
+    fn malformed_requests_get_a_typed_400() {
+        // One corpus, both listeners: the metrics endpoint and the
+        // serving listener share one reader, so they must agree.
+        static REG: std::sync::OnceLock<fbmpk_obs::LiveRegistry> = std::sync::OnceLock::new();
+        let reg = REG.get_or_init(fbmpk_obs::LiveRegistry::new);
+        let endpoint =
+            fbmpk_obs::MetricsServer::start("127.0.0.1:0".parse().unwrap(), reg).expect("bind");
+        let mut server = tiny_server();
+        let oversized = vec![b'A'; crate::http::MAX_HEAD_BYTES];
+        let corpus: [(&str, &[u8], bool, u16); 6] = [
+            ("garbage request line", b"not http at all\r\n\r\n", false, 400),
+            ("incomplete head, then EOF", b"GET /metrics HTTP/1.1\r\n", true, 400),
+            ("fourth request-line token", b"GET /metrics HTTP/1.1 x\r\n\r\n", false, 400),
+            ("header without a colon", b"GET /metrics HTTP/1.1\r\nno colon\r\n\r\n", false, 400),
+            ("non-UTF-8 header", b"GET /metrics HTTP/1.1\r\nX-A: \xff\xfe\r\n\r\n", false, 400),
+            ("oversized head", &oversized, true, 413),
+        ];
+        for (what, raw, close_write, want) in corpus {
+            for addr in [endpoint.local_addr(), server.local_addr()] {
+                assert_eq!(raw_status(addr, raw, close_write), Some(want), "{what} on {addr}");
+            }
+        }
+        assert_eq!(server.metrics().snapshot().bad_request, corpus.len() as u64);
+        server.shutdown();
+    }
+
+    #[test]
+    fn serving_families_reach_an_attached_endpoint() {
+        let endpoint = fbmpk_obs::MetricsServer::start(
+            "127.0.0.1:0".parse().unwrap(),
+            fbmpk_obs::live::global(),
+        )
+        .expect("bind");
+        let mut server = tiny_server();
+        let addr = server.local_addr();
+        let id = server.metrics().id.to_string();
+        assert_eq!(request(addr, "GET", "/healthz", &[], "", T).unwrap().status, 200);
+        assert_eq!(request(addr, "GET", "/nope", &[], "", T).unwrap().status, 404);
+        let scrape = || {
+            let body = fbmpk_obs::serve::scrape(endpoint.local_addr(), T).expect("scrape");
+            fbmpk_obs::expo::parse(&body).expect("valid exposition")
+        };
+        let doc = scrape();
+        let value = |name: &str| doc.value(name, &[("server", id.as_str())]);
+        assert_eq!(value("fbmpk_serve_requests_total"), Some(2.0));
+        assert_eq!(value("fbmpk_serve_ok_total"), Some(1.0));
+        assert_eq!(value("fbmpk_serve_not_found_total"), Some(1.0));
+        assert_eq!(value("fbmpk_serve_batch_executions_total"), Some(0.0));
+        // A stopped server drops out of later scrapes.
+        server.shutdown();
+        drop(server);
+        let doc = scrape();
+        assert_eq!(doc.value("fbmpk_serve_requests_total", &[("server", id.as_str())]), None);
     }
 }

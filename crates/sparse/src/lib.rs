@@ -15,8 +15,8 @@
 //! * [`io`] — Matrix Market (`.mtx`) reading and writing,
 //! * [`stats`] — structural statistics (Table II of the paper),
 //! * [`vecops`] — dense-vector helpers used by the solvers,
-//! * [`sellcs`]/[`ell`] — SELL-C-σ and ELLPACK, the vector-friendly
-//!   formats the paper lists as future work,
+//! * [`sellcs`] — SELL-C-σ, the vector-friendly sliced-ELLPACK format
+//!   the paper lists as future work,
 //! * [`simd`] — the portable SIMD lane abstraction (AVX2/NEON behind the
 //!   `simd` feature, bit-identical scalar fallback otherwise),
 //! * [`spmm`] — sparse × multi-vector products for block Krylov methods.
@@ -26,7 +26,6 @@
 
 pub mod coo;
 pub mod csr;
-pub mod ell;
 pub mod io;
 pub mod permute;
 pub mod sellcs;

@@ -1,9 +1,8 @@
-//! Storage-format equivalence: CSR, ELLPACK and SELL-C-sigma must compute
+//! Storage-format equivalence: CSR and SELL-C-sigma must compute
 //! identical SpMV results on every suite matrix class, and SpMM must match
 //! per-vector SpMV — the invariants that make format choice a pure
 //! performance decision (paper SVII).
 
-use fbmpk_sparse::ell::Ell;
 use fbmpk_sparse::sellcs::SellCs;
 use fbmpk_sparse::spmm::{block_power, spmm, MultiVec};
 use fbmpk_sparse::spmv::{spmv, spmv_alloc};
@@ -17,31 +16,12 @@ fn all_formats_agree_on_full_suite() {
         let x: Vec<f64> = (0..n).map(|i| ((i * 29 % 53) as f64) / 26.0 - 1.0).collect();
         let mut want = vec![0.0; n];
         spmv(&a, &x, &mut want);
-        let ell = Ell::from_csr(&a);
         let mut got = vec![0.0; n];
-        ell.spmv(&x, &mut got);
-        assert!(rel_err_inf(&got, &want) < 1e-13, "{} ELL", entry.name);
         for (c, sigma) in [(4usize, 0usize), (8, 64), (16, 128)] {
             let s = SellCs::from_csr(&a, c, sigma);
             s.spmv(&x, &mut got);
             assert!(rel_err_inf(&got, &want) < 1e-13, "{} SELL-{c}-{sigma}", entry.name);
         }
-    }
-}
-
-#[test]
-fn sellcs_padding_never_worse_than_ell() {
-    for entry in fbmpk_gen::paper_suite() {
-        let a = entry.generate(0.0005, 21);
-        let ell = Ell::from_csr(&a);
-        let sell = SellCs::from_csr(&a, 8, 64);
-        assert!(
-            sell.padding_ratio() <= ell.padding_ratio() + 1e-9,
-            "{}: SELL {} vs ELL {}",
-            entry.name,
-            sell.padding_ratio(),
-            ell.padding_ratio()
-        );
     }
 }
 
