@@ -120,12 +120,12 @@ pub fn start_vector(n: usize) -> Vec<f64> {
     (0..n).map(|i| 1.0 + 0.5 * ((i * 2_654_435_761usize) as f64 / usize::MAX as f64)).collect()
 }
 
-/// ABMC parameters used by all experiments: the paper's default of 512
-/// blocks (clamped so tiny scaled matrices keep ≥ 2 rows per block), with
-/// contiguous blocking — on this suite the BFS-aggregated blocking
-/// scrambles the generators' already-local row numbering and loses more
-/// gather locality than the coloring gains (see the `abmc_blocking`
-/// criterion bench for the ablation).
+/// ABMC parameters of the paper-reproduction experiments: the paper's
+/// configuration of 512 contiguous blocks (clamped so tiny scaled
+/// matrices keep ≥ 2 rows per block), fixed so the figures stay
+/// comparable with the paper's. This is not the library's default
+/// policy, which sizes the block count from the thread pool and picks
+/// the blocking per matrix ([`fbmpk::FbmpkOptions::parallel`]).
 pub fn abmc_params(n: usize) -> AbmcParams {
     AbmcParams {
         nblocks: 512.min(n / 2).max(1),
@@ -715,6 +715,7 @@ pub fn strategy_tag(s: BlockingStrategy) -> &'static str {
         BlockingStrategy::Contiguous => "contiguous",
         BlockingStrategy::Aggregated => "aggregated",
         BlockingStrategy::Multilevel => "multilevel",
+        BlockingStrategy::FewestColors => "fewest-colors",
     }
 }
 
@@ -765,6 +766,7 @@ pub fn partition(cfg: &BenchConfig, cases: &[MatrixCase]) -> Vec<PartitionRow> {
                     fbmpk_reorder::blocking::block_size_for_count(n, nblocks),
                 ),
                 BlockingStrategy::Multilevel => multilevel_blocks(&g, nblocks),
+                BlockingStrategy::FewestColors => unreachable!("only explicit strategies here"),
             };
             let cut = cut_edges(&g, &blocking);
             let balance = balance_ratio(&g, &blocking);

@@ -263,11 +263,10 @@ fn start_demo() -> Result<std::net::SocketAddr, String> {
         .name("fbmpk-top-demo".into())
         .spawn(|| {
             let a = fbmpk_gen::poisson::grid2d_5pt(60, 60);
+            // The library's default parallel path, with recording on.
             let opts = fbmpk::FbmpkOptions {
-                nthreads: 2,
-                reorder: Some(fbmpk_reorder::AbmcParams::default()),
                 obs: fbmpk::ObsOptions::recording(),
-                ..Default::default()
+                ..fbmpk::FbmpkOptions::parallel(2)
             };
             let plan = fbmpk::FbmpkPlan::new(&a, opts).expect("square demo matrix");
             let x0 = vec![1.0; a.nrows()];

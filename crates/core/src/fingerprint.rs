@@ -96,11 +96,15 @@ fn fallback_tag(policy: FallbackPolicy) -> u64 {
     }
 }
 
+/// The fewest-colors policy has its own tag: it is a different
+/// configuration from either blocking it may resolve to, and its runs
+/// must not share a history key with a fixed strategy's.
 fn blocking_tag(strategy: BlockingStrategy) -> u64 {
     match strategy {
         BlockingStrategy::Contiguous => 1,
         BlockingStrategy::Aggregated => 2,
         BlockingStrategy::Multilevel => 3,
+        BlockingStrategy::FewestColors => 4,
     }
 }
 
@@ -245,10 +249,13 @@ mod tests {
             mk(BlockingStrategy::Contiguous).config_fingerprint(),
             mk(BlockingStrategy::Aggregated).config_fingerprint(),
             mk(BlockingStrategy::Multilevel).config_fingerprint(),
+            mk(BlockingStrategy::FewestColors).config_fingerprint(),
         ];
-        assert_ne!(fps[0], fps[1]);
-        assert_ne!(fps[1], fps[2]);
-        assert_ne!(fps[0], fps[2]);
+        for i in 0..fps.len() {
+            for j in i + 1..fps.len() {
+                assert_ne!(fps[i], fps[j], "strategies {i} and {j} share a key");
+            }
+        }
     }
 
     #[test]

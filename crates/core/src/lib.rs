@@ -53,7 +53,7 @@ pub use plan::{
 };
 pub use schedule::{Schedule, SyncCtx, SyncMode};
 pub use standard::StandardMpk;
-pub use tune::{select_blocking_strategy, KernelVariant, MatrixFeatures, TuneOptions, TunedPlan};
+pub use tune::{KernelVariant, MatrixFeatures, TuneOptions, TunedPlan};
 pub use workspace::Workspace;
 
 /// Errors from plan construction and kernel invocation.

@@ -12,12 +12,14 @@ use crate::layout::{BtbXy, SplitXy};
 use crate::levelblock::{probe_llc_bytes, BlockingMode, LevelBlockPlan};
 use crate::schedule::{Schedule, SyncCtx, SyncMode};
 use crate::sink::{AccumSink, CollectSink, NullSink, Sink};
+use crate::workspace::Workspace;
 use crate::{FbmpkError, Result};
 use fbmpk_obs::recorder::{Span, SpanKind};
 use fbmpk_obs::{NoopProbe, Probe, Recorder, SpanProbe, DEFAULT_SPAN_CAPACITY};
 use fbmpk_parallel::{BlockFlags, ThreadPool};
-use fbmpk_reorder::{Abmc, AbmcParams, BlockDeps};
+use fbmpk_reorder::{Abmc, AbmcParams, BlockDeps, BlockingStrategy};
 use fbmpk_sparse::{Csr, Permutation, TriangularSplit};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -183,9 +185,19 @@ impl Default for FbmpkOptions {
 }
 
 impl FbmpkOptions {
-    /// Parallel configuration with default ABMC parameters.
+    /// The library's parallel configuration for `nthreads` workers:
+    /// [`AbmcParams::for_threads`], i.e. 16 blocks per thread (capped at
+    /// `n / 2`) with the blocking chosen per matrix by
+    /// [`BlockingStrategy::FewestColors`] — contiguous ranges unless BFS
+    /// aggregation colors the quotient graph in fewer colors. DESIGN.md
+    /// ("ABMC policy") has the block-count sweep and the comparison with
+    /// the earlier default of 512 BFS aggregates.
     pub fn parallel(nthreads: usize) -> Self {
-        FbmpkOptions { nthreads, reorder: Some(AbmcParams::default()), ..Default::default() }
+        FbmpkOptions {
+            nthreads,
+            reorder: Some(AbmcParams::for_threads(nthreads)),
+            ..Default::default()
+        }
     }
 }
 
@@ -201,6 +213,10 @@ pub struct PlanStats {
     pub ncolors: usize,
     /// Number of ABMC blocks (0 when unordered).
     pub nblocks: usize,
+    /// The blocking the ABMC ordering was built with (`None` when
+    /// unordered). Never [`BlockingStrategy::FewestColors`]: that policy
+    /// reports the blocking it kept.
+    pub blocking: Option<BlockingStrategy>,
 }
 
 /// Point-to-point synchronization state: per-block wait lists plus the
@@ -274,33 +290,35 @@ impl FbmpkPlan {
         let _build_span = fbmpk_obs::phases::span("plan.build");
         let n = a.nrows();
         let mut stats = PlanStats::default();
-        // `working` is only needed to build the split; avoid cloning the
-        // input in the unreordered path.
-        let (working, perm, abmc): (std::borrow::Cow<Csr>, _, _) = match options.reorder {
+        // `working` is only needed to build the split; it borrows the
+        // input unless a permuted copy exists.
+        let (working, perm, abmc): (Cow<Csr>, _, _) = match options.reorder {
             Some(params) => {
                 let _span = fbmpk_obs::phases::span("plan.reorder");
                 let t0 = Instant::now();
                 // Optional RCM locality pre-pass, composed with ABMC.
-                let (pre_matrix, pre_perm) = if options.pre_rcm {
+                let (pre_matrix, pre_perm): (Cow<Csr>, _) = if options.pre_rcm {
                     let rcm = fbmpk_reorder::rcm(a);
                     let m =
                         rcm.permute_symmetric(a).expect("RCM permutation matches matrix dimension");
-                    (m, Some(rcm))
+                    (Cow::Owned(m), Some(rcm))
                 } else {
-                    (a.clone(), None)
+                    (Cow::Borrowed(a), None)
                 };
                 let abmc = Abmc::new(&pre_matrix, params);
                 let permuted = abmc.apply(&pre_matrix);
+                drop(pre_matrix);
                 stats.reorder_seconds = t0.elapsed().as_secs_f64();
                 stats.ncolors = abmc.ncolors();
                 stats.nblocks = abmc.nblocks();
+                stats.blocking = Some(abmc.strategy());
                 let total = match pre_perm {
                     Some(rcm) => rcm.then(abmc.permutation()),
                     None => abmc.permutation().clone(),
                 };
-                (std::borrow::Cow::Owned(permuted), Some(total), Some(abmc))
+                (Cow::Owned(permuted), Some(total), Some(abmc))
             }
-            None => (std::borrow::Cow::Borrowed(a), None, None),
+            None => (Cow::Borrowed(a), None, None),
         };
         let t0 = Instant::now();
         let split = {
@@ -556,10 +574,9 @@ impl FbmpkPlan {
         if k == 0 {
             return Ok(x0.to_vec());
         }
-        let xp = self.permute_in(x0);
-        let result =
-            self.with_fallback(|sync| self.execute_probed(&xp, k, &NullSink, sync, probe))?;
-        Ok(self.permute_out(result))
+        let mut ws = self.call_workspace(x0);
+        self.with_fallback(|sync| self.execute_probed(&mut ws, k, &NullSink, sync, probe))?;
+        Ok(self.result_alloc(&ws, k))
     }
 
     /// The synchronization context the kernels run under.
@@ -696,9 +713,9 @@ impl FbmpkPlan {
         if k == 0 {
             return Ok(x0.to_vec());
         }
-        let xp = self.permute_in(x0);
-        let result = self.with_fallback(|sync| self.execute(&xp, k, &NullSink, sync))?;
-        Ok(self.permute_out(result))
+        let mut ws = self.call_workspace(x0);
+        self.with_fallback(|sync| self.execute(&mut ws, k, &NullSink, sync))?;
+        Ok(self.result_alloc(&ws, k))
     }
 
     /// [`Self::try_power`] under a per-request watchdog deadline: the
@@ -737,14 +754,14 @@ impl FbmpkPlan {
         if k == 0 {
             return Ok(Vec::new());
         }
-        let xp = self.permute_in(x0);
+        let mut ws = self.call_workspace(x0);
         // The basis is (re)built inside the attempt: a stalled attempt
         // leaves it partially written.
         let basis = self.with_fallback(|sync| {
             let mut basis = vec![0.0; k * self.n];
             {
                 let sink = CollectSink::new(&mut basis, self.n, k);
-                self.execute(&xp, k, &sink, sync)?;
+                self.execute(&mut ws, k, &sink, sync)?;
             }
             Ok(basis)
         })?;
@@ -767,34 +784,37 @@ impl FbmpkPlan {
         assert!(!coeffs.is_empty(), "need at least the alpha_0 coefficient");
         assert_eq!(x0.len(), self.n, "x0 length mismatch");
         let k = coeffs.len() - 1;
-        let xp = self.permute_in(x0);
+        let mut ws = self.call_workspace(x0);
         // The accumulator is rebuilt per attempt: AccumSink adds into it
         // as the sweeps run, so a stalled attempt taints it.
         let y = self.with_fallback(|sync| {
-            let mut y: Vec<f64> = xp.iter().map(|&v| coeffs[0] * v).collect();
+            let mut y: Vec<f64> = ws.staged.iter().map(|&v| coeffs[0] * v).collect();
             if k > 0 {
                 let sink = AccumSink::new(&mut y, coeffs);
-                self.execute(&xp, k, &sink, sync)?;
+                self.execute(&mut ws, k, &sink, sync)?;
             }
             Ok(y)
         })?;
         Ok(self.permute_out(y))
     }
 
-    /// Runs the kernel in the permuted domain; returns `x_k` (permuted).
-    /// Dispatches on the recorder so the common (no-recorder) case
-    /// monomorphizes to the uninstrumented kernel.
-    fn execute<S: Sink>(
+    /// Runs one invocation out of `ws` (input staged in `ws.staged`) and
+    /// leaves `x_k` (permuted) where [`Self::extract_result`] reads it.
+    /// Every entry point — allocating or workspace — comes through here:
+    /// it dispatches on the recorder, so the common (no-recorder) case
+    /// monomorphizes to the uninstrumented kernel, and feeds the live
+    /// telemetry.
+    pub(crate) fn execute<S: Sink>(
         &self,
-        x0p: &[f64],
+        ws: &mut Workspace,
         k: usize,
         sink: &S,
         sync: &SyncCtx,
-    ) -> Result<Vec<f64>> {
+    ) -> Result<()> {
         let t0 = self.telemetry.as_ref().map(|_| Instant::now());
         let result = match &self.recorder {
-            Some(rec) => self.execute_probed(x0p, k, sink, sync, &SpanProbe::new(rec)),
-            None => self.execute_probed(x0p, k, sink, sync, &NoopProbe),
+            Some(rec) => self.execute_probed(ws, k, sink, sync, &SpanProbe::new(rec)),
+            None => self.execute_probed(ws, k, sink, sync, &NoopProbe),
         };
         // One invocation-granularity stats update (never per color/row):
         // feeds the endpoint's achieved-GB/s and invocation counters.
@@ -806,72 +826,59 @@ impl FbmpkPlan {
 
     fn execute_probed<S: Sink, P: Probe>(
         &self,
-        x0p: &[f64],
+        ws: &mut Workspace,
         k: usize,
         sink: &S,
         sync: &SyncCtx,
         probe: &P,
-    ) -> Result<Vec<f64>> {
+    ) -> Result<()> {
         // Level-blocked mode replaces the whole streaming pipeline with
         // the BFS-shell wavefront (sinks see every power either way). It
         // runs on per-substep barriers only, so the point-to-point sync
         // context and its fallback machinery don't apply.
         if let Some(lb) = &self.levelblock {
-            return lb.run_probed(&self.pool, x0p, k, sink, probe);
+            let xk = lb.run_probed(&self.pool, &ws.staged, k, sink, probe)?;
+            ws.store_result(self.layout, k, &xk);
+            return Ok(());
         }
         let n = self.n;
-        let mut tmp = self.alloc_zeroed(n);
-        let mut out = self.alloc_zeroed(n);
+        let Workspace { xy, tmp, out, staged, .. } = ws;
         match self.layout {
             VectorLayout::BackToBack => {
-                let mut xy = self.alloc_zeroed(2 * n);
-                for (i, &v) in x0p.iter().enumerate() {
+                for (i, &v) in staged.iter().enumerate() {
                     xy[2 * i] = v;
                 }
-                {
-                    let layout = BtbXy::new(&mut xy);
-                    run_fbmpk_probed(
-                        &self.pool,
-                        &self.schedule,
-                        &self.split,
-                        &layout,
-                        &mut tmp,
-                        &mut out,
-                        k,
-                        sink,
-                        sync,
-                        probe,
-                    )?;
-                }
-                Ok(if k % 2 == 1 { out } else { (0..n).map(|i| xy[2 * i]).collect() })
+                let layout = BtbXy::new(xy);
+                run_fbmpk_probed(
+                    &self.pool,
+                    &self.schedule,
+                    &self.split,
+                    &layout,
+                    tmp,
+                    out,
+                    k,
+                    sink,
+                    sync,
+                    probe,
+                )
             }
             VectorLayout::Split => {
-                let mut even = x0p.to_vec();
-                let mut odd = self.alloc_zeroed(n);
-                {
-                    let layout = SplitXy::new(&mut even, &mut odd);
-                    run_fbmpk_probed(
-                        &self.pool,
-                        &self.schedule,
-                        &self.split,
-                        &layout,
-                        &mut tmp,
-                        &mut out,
-                        k,
-                        sink,
-                        sync,
-                        probe,
-                    )?;
-                }
-                Ok(if k % 2 == 1 { out } else { even })
+                let (even, odd) = xy.split_at_mut(n);
+                even.copy_from_slice(staged);
+                let layout = SplitXy::new(even, odd);
+                run_fbmpk_probed(
+                    &self.pool,
+                    &self.schedule,
+                    &self.split,
+                    &layout,
+                    tmp,
+                    out,
+                    k,
+                    sink,
+                    sync,
+                    probe,
+                )
             }
-        }
-    }
-
-    fn permute_in(&self, x: &[f64]) -> Vec<f64> {
-        match &self.perm {
-            Some(p) => p.apply_vec_alloc(x),
-            None => x.to_vec(),
         }
     }
 

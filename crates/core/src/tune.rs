@@ -33,7 +33,7 @@ use fbmpk_obs::recorder::{Span, SpanKind};
 use fbmpk_obs::{NoopProbe, Probe, Recorder, SpanProbe};
 use fbmpk_parallel::partition::merge_path_partition;
 use fbmpk_parallel::{SharedSlice, ThreadPool};
-use fbmpk_reorder::{AbmcParams, BlockingStrategy, Graph};
+use fbmpk_reorder::{Abmc, AbmcParams, BlockingStrategy};
 use fbmpk_sparse::sellcs::SellCs;
 use fbmpk_sparse::simd::{self, SimdLevel};
 use fbmpk_sparse::spmv::{spmv_rows, spmv_rows_rowsplit, spmv_rows_unrolled4};
@@ -232,10 +232,6 @@ pub struct TunedPlan {
     /// SpMV users should not pay). `None` inside means "built, not
     /// profitable on this matrix".
     levelblock: OnceLock<Option<LevelBlockPlan>>,
-    /// Lazily-resolved cut-edge comparison (built on the first
-    /// [`TunedPlan::blocking_strategy`] call without an override; the
-    /// partitions cost O(nnz·levels) that plain-SpMV users never pay).
-    selected_blocking: OnceLock<(BlockingStrategy, Vec<(BlockingStrategy, usize)>)>,
     report: TuneReport,
 }
 
@@ -334,7 +330,6 @@ impl TunedPlan {
             obs: options.obs,
             recorder,
             levelblock: OnceLock::new(),
-            selected_blocking: OnceLock::new(),
             report,
         }
     }
@@ -404,31 +399,23 @@ impl TunedPlan {
         FbmpkPlan::with_pool(&self.a, options, Arc::clone(&self.pool))
     }
 
-    /// The ABMC blocking strategy the tuner picks for `nblocks` blocks:
-    /// the strategy whose partition cuts the fewest row-structure edges —
-    /// and therefore induces the fewest cross-block P2P dependency waits
-    /// (see [`select_blocking_strategy`]). The comparison runs once per
-    /// tuned plan and is cached for the first `nblocks` asked. For a fixed
-    /// strategy, pass it to [`TunedPlan::fbmpk_plan`] instead.
+    /// The ABMC blocking [`TunedPlan::fbmpk_plan_auto`] builds for
+    /// `nblocks` blocks: the default [`BlockingStrategy::FewestColors`]
+    /// policy resolved on this matrix (contiguous ranges unless BFS
+    /// aggregation colors in fewer colors). Each call recomputes it; for
+    /// a fixed strategy, pass it to [`TunedPlan::fbmpk_plan`] instead.
     pub fn blocking_strategy(&self, nblocks: usize) -> BlockingStrategy {
-        self.selected_blocking.get_or_init(|| select_blocking_strategy(&self.a, nblocks)).0
+        Abmc::new(&self.a, AbmcParams { nblocks, ..Default::default() }).strategy()
     }
 
-    /// The per-strategy cut-edge counts behind the auto selection —
-    /// `None` until [`TunedPlan::blocking_strategy`] has resolved them.
-    pub fn blocking_cut_edges(&self) -> Option<&[(BlockingStrategy, usize)]> {
-        self.selected_blocking.get().map(|(_, cuts)| cuts.as_slice())
-    }
-
-    /// Like [`TunedPlan::fbmpk_plan`], with ABMC parameters assembled
-    /// from `nblocks` and the tuner-selected blocking strategy.
+    /// Like [`TunedPlan::fbmpk_plan`], with `nblocks` blocks under the
+    /// default blocking policy (see [`TunedPlan::blocking_strategy`];
+    /// the plan's [`crate::PlanStats::blocking`] reports the choice).
     ///
     /// # Errors
     /// Propagates [`FbmpkPlan::with_pool`] errors.
     pub fn fbmpk_plan_auto(&self, nblocks: usize) -> crate::Result<FbmpkPlan> {
-        let params =
-            AbmcParams { nblocks, strategy: self.blocking_strategy(nblocks), ..Default::default() };
-        self.fbmpk_plan(Some(params))
+        self.fbmpk_plan(Some(AbmcParams { nblocks, ..Default::default() }))
     }
 
     /// Computes `y = A x` with the tuned kernel.
@@ -793,40 +780,6 @@ fn run_probe_spmv(
     });
 }
 
-/// Compares the three ABMC blocking strategies on `a`'s row-structure
-/// graph by cut-edge count and returns the winner plus every candidate's
-/// count. A cut edge is an adjacency between rows in different blocks —
-/// exactly the structure that becomes a cross-block dependency (and a
-/// point-to-point flag wait) after coloring, so fewer cut edges means
-/// fewer waits and better block-local reuse. Ties prefer the cheaper
-/// build, in order contiguous → aggregated → multilevel. Each candidate
-/// builds the same `Blocking` that [`fbmpk_reorder::Abmc::new`] would,
-/// so the counts describe the partitions actually executed.
-pub fn select_blocking_strategy(
-    a: &Csr,
-    nblocks: usize,
-) -> (BlockingStrategy, Vec<(BlockingStrategy, usize)>) {
-    use fbmpk_reorder::blocking::{aggregated_blocks, block_size_for_count, contiguous_blocks};
-    use fbmpk_reorder::{cut_edges, multilevel_blocks};
-    let n = a.nrows();
-    if n == 0 || nblocks <= 1 {
-        // One block (or nothing) cuts no edges anywhere; take the trivial
-        // partition without building graphs.
-        return (BlockingStrategy::Contiguous, Vec::new());
-    }
-    let g = Graph::from_matrix(a);
-    let cuts = vec![
-        (BlockingStrategy::Contiguous, cut_edges(&g, &contiguous_blocks(n, nblocks))),
-        (
-            BlockingStrategy::Aggregated,
-            cut_edges(&g, &aggregated_blocks(&g, block_size_for_count(n, nblocks))),
-        ),
-        (BlockingStrategy::Multilevel, cut_edges(&g, &multilevel_blocks(&g, nblocks))),
-    ];
-    let best = cuts.iter().min_by_key(|&&(_, c)| c).expect("three candidates").0;
-    (best, cuts)
-}
-
 /// Structural + numerical fingerprint: FNV-1a over dimensions and the
 /// complete `row_ptr`, `col_idx`, and value-bit streams. Any entry change
 /// — structural or numerical — changes the fingerprint, so a cached plan
@@ -1075,33 +1028,20 @@ mod tests {
     }
 
     #[test]
-    fn strategy_selection_compares_all_three_by_cut_edges() {
-        let a = skewed(11);
-        let (best, cuts) = select_blocking_strategy(&a, 32);
-        assert_eq!(cuts.len(), 3, "all three strategies evaluated");
-        let best_cut = cuts.iter().find(|(s, _)| *s == best).unwrap().1;
-        assert!(cuts.iter().all(|&(_, c)| best_cut <= c), "winner has the minimum cut: {cuts:?}");
-        // Deterministic: same matrix, same answer.
-        assert_eq!(select_blocking_strategy(&a, 32), (best, cuts));
-        // Degenerate sizes take the trivial partition without graph work.
-        assert_eq!(select_blocking_strategy(&a, 1).0, BlockingStrategy::Contiguous);
-        assert_eq!(select_blocking_strategy(&Csr::zero(0, 0), 4).1, Vec::new());
-    }
-
-    #[test]
-    fn tuned_plan_resolves_strategy_lazily_and_derives_plans() {
+    fn tuned_plan_resolves_strategy_and_derives_plans() {
         let a = skewed(4);
         let plan = TunedPlan::new(
             &a,
             TuneOptions { nthreads: 2, probe: false, probe_reps: 1, ..Default::default() },
         );
-        assert!(plan.blocking_cut_edges().is_none(), "no comparison before first ask");
         let chosen = plan.blocking_strategy(32);
-        let cuts = plan.blocking_cut_edges().expect("comparison resolved");
-        assert_eq!(cuts.len(), 3);
-        assert_eq!(plan.blocking_strategy(32), chosen, "cached choice is stable");
-        // The derived FBMPK plan runs and matches the reference.
+        assert_ne!(chosen, BlockingStrategy::FewestColors, "resolved to a concrete blocking");
+        assert_ne!(chosen, BlockingStrategy::Multilevel, "never auto-selected");
+        assert_eq!(plan.blocking_strategy(32), chosen, "deterministic");
+        // The derived FBMPK plan builds the same blocking and matches the
+        // reference.
         let fb = plan.fbmpk_plan_auto(32).unwrap();
+        assert_eq!(fb.stats().blocking, Some(chosen));
         let n = a.nrows();
         let x0: Vec<f64> = (0..n).map(|i| ((i * 3 % 13) as f64) - 6.0).collect();
         let want = crate::StandardMpk::new(&a, 1).unwrap().power(&x0, 4);
@@ -1114,6 +1054,7 @@ mod tests {
                 ..Default::default()
             }))
             .unwrap();
+        assert_eq!(forced.stats().blocking, Some(BlockingStrategy::Multilevel));
         assert!(rel_err_inf(&forced.power(&x0, 4), &want) < 1e-11);
     }
 

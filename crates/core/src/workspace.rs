@@ -6,10 +6,7 @@
 //! and the `*_with` methods on [`FbmpkPlan`] reuse them, so steady-state
 //! invocations perform no heap allocation.
 
-use crate::kernel::run_fbmpk;
-use crate::layout::{BtbXy, SplitXy};
 use crate::plan::{FbmpkPlan, VectorLayout};
-use crate::schedule::SyncCtx;
 use crate::sink::{AccumSink, NullSink};
 
 /// Reusable kernel buffers for one plan (sized to its dimension).
@@ -17,11 +14,12 @@ use crate::sink::{AccumSink, NullSink};
 pub struct Workspace {
     /// Interleaved or even-half buffer (length `2n`; split layout uses the
     /// two halves as separate arrays).
-    xy: Vec<f64>,
-    tmp: Vec<f64>,
-    out: Vec<f64>,
-    /// Permuted-input staging (used when the plan reorders).
-    staged: Vec<f64>,
+    pub(crate) xy: Vec<f64>,
+    pub(crate) tmp: Vec<f64>,
+    pub(crate) out: Vec<f64>,
+    /// The invocation's input in the plan's (permuted) numbering. The
+    /// kernel never writes it, so a fallback retry starts clean from it.
+    pub(crate) staged: Vec<f64>,
     /// Permuted-domain accumulator for `sspmv_with` on reordered plans.
     acc: Vec<f64>,
     n: usize,
@@ -44,6 +42,24 @@ impl Workspace {
     pub fn n(&self) -> usize {
         self.n
     }
+
+    /// Leaves an externally computed `x_k` (the level-blocked wavefront's)
+    /// where [`FbmpkPlan::extract_result`] reads it: `out` for odd `k`,
+    /// the even iterate slots otherwise.
+    pub(crate) fn store_result(&mut self, layout: VectorLayout, k: usize, xk: &[f64]) {
+        if k % 2 == 1 {
+            self.out.copy_from_slice(xk);
+            return;
+        }
+        match layout {
+            VectorLayout::BackToBack => {
+                for (i, &v) in xk.iter().enumerate() {
+                    self.xy[2 * i] = v;
+                }
+            }
+            VectorLayout::Split => self.xy[..self.n].copy_from_slice(xk),
+        }
+    }
 }
 
 impl FbmpkPlan {
@@ -62,6 +78,37 @@ impl FbmpkPlan {
             acc: self.alloc_zeroed(n),
             n,
         }
+    }
+
+    /// The buffers of one allocating call (`power`, `krylov`, `sspmv`),
+    /// with `x0` staged. No `sspmv_with` accumulator.
+    pub(crate) fn call_workspace(&self, x0: &[f64]) -> Workspace {
+        let n = self.n();
+        let mut ws = Workspace {
+            xy: self.alloc_zeroed(2 * n),
+            tmp: self.alloc_zeroed(n),
+            out: self.alloc_zeroed(n),
+            staged: vec![0.0; n],
+            acc: Vec::new(),
+            n,
+        };
+        self.stage(&mut ws, x0);
+        ws
+    }
+
+    /// Copies `x0` into `ws.staged` in the plan's numbering.
+    fn stage(&self, ws: &mut Workspace, x0: &[f64]) {
+        match self.permutation() {
+            Some(p) => p.apply_vec(x0, &mut ws.staged),
+            None => ws.staged.copy_from_slice(x0),
+        }
+    }
+
+    /// [`Self::extract_result`] into a fresh vector.
+    pub(crate) fn result_alloc(&self, ws: &Workspace, k: usize) -> Vec<f64> {
+        let mut y = vec![0.0; self.n()];
+        self.extract_result(ws, k, &mut y);
+        y
     }
 
     /// Like [`FbmpkPlan::power`], but reusing `ws` and writing into `y` —
@@ -95,14 +142,8 @@ impl FbmpkPlan {
             y.copy_from_slice(x0);
             return Ok(());
         }
-        // Stage the (possibly permuted) input into the even slots. The
-        // kernel never writes `ws.staged`, so a fallback retry restages
-        // from it and starts clean.
-        match self.permutation() {
-            Some(p) => p.apply_vec(x0, &mut ws.staged),
-            None => ws.staged.copy_from_slice(x0),
-        }
-        self.with_fallback(|sync| self.execute_with(ws, k, &NullSink, sync))?;
+        self.stage(ws, x0);
+        self.with_fallback(|sync| self.execute(ws, k, &NullSink, sync))?;
         self.extract_result(ws, k, y);
         Ok(())
     }
@@ -133,13 +174,10 @@ impl FbmpkPlan {
         assert_eq!(x0.len(), n);
         assert_eq!(y.len(), n);
         let k = coeffs.len() - 1;
-        match self.permutation() {
-            Some(p) => p.apply_vec(x0, &mut ws.staged),
-            None => ws.staged.copy_from_slice(x0),
-        }
+        self.stage(ws, x0);
         // On reordered plans the accumulation happens in the permuted
         // domain; `ws.acc` is moved out for the duration of the kernel
-        // (the sink borrows it while `execute_with` borrows `ws`) and
+        // (the sink borrows it while `execute` borrows `ws`) and
         // moved back afterwards — no allocation in steady state.
         let mut acc = std::mem::take(&mut ws.acc);
         let permuted = self.permutation().is_some();
@@ -161,7 +199,7 @@ impl FbmpkPlan {
             };
             if k > 0 {
                 let sink = AccumSink::new(acc_slice, coeffs);
-                self.execute_with_sink_only(ws, k, &sink, sync)?;
+                self.execute(ws, k, &sink, sync)?;
             }
             Ok(())
         });
@@ -174,68 +212,9 @@ impl FbmpkPlan {
         r
     }
 
-    /// Runs the kernel out of the workspace buffers (input staged in
-    /// `ws.staged`).
-    fn execute_with<S: crate::sink::Sink>(
-        &self,
-        ws: &mut Workspace,
-        k: usize,
-        sink: &S,
-        sync: &SyncCtx,
-    ) -> crate::Result<()> {
-        let n = self.n();
-        match self.layout() {
-            VectorLayout::BackToBack => {
-                for (i, &v) in ws.staged.iter().enumerate() {
-                    ws.xy[2 * i] = v;
-                }
-                let layout = BtbXy::new(&mut ws.xy);
-                run_fbmpk(
-                    self.pool(),
-                    self.schedule(),
-                    self.split(),
-                    &layout,
-                    &mut ws.tmp,
-                    &mut ws.out,
-                    k,
-                    sink,
-                    sync,
-                )
-            }
-            VectorLayout::Split => {
-                let (even, odd) = ws.xy.split_at_mut(n);
-                even[..n].copy_from_slice(&ws.staged);
-                let layout = SplitXy::new(&mut even[..n], &mut odd[..n]);
-                run_fbmpk(
-                    self.pool(),
-                    self.schedule(),
-                    self.split(),
-                    &layout,
-                    &mut ws.tmp,
-                    &mut ws.out,
-                    k,
-                    sink,
-                    sync,
-                )
-            }
-        }
-    }
-
-    /// Variant of [`Self::execute_with`] used when only the sink output
-    /// matters (SSpMV): identical execution, named for clarity at call
-    /// sites.
-    fn execute_with_sink_only<S: crate::sink::Sink>(
-        &self,
-        ws: &mut Workspace,
-        k: usize,
-        sink: &S,
-        sync: &SyncCtx,
-    ) -> crate::Result<()> {
-        self.execute_with(ws, k, sink, sync)
-    }
-
-    /// Copies `x_k` out of the workspace after [`Self::execute_with`].
-    fn extract_result(&self, ws: &Workspace, k: usize, y: &mut [f64]) {
+    /// Copies `x_k` out of the workspace after [`Self::execute`], in the
+    /// original numbering.
+    pub(crate) fn extract_result(&self, ws: &Workspace, k: usize, y: &mut [f64]) {
         let n = self.n();
         let pick = |i: usize| -> f64 {
             if k % 2 == 1 {

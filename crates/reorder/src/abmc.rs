@@ -17,24 +17,45 @@ use fbmpk_sparse::{Csr, Permutation};
 /// How rows are aggregated into blocks before coloring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BlockingStrategy {
+    /// The default policy: build both the [`Contiguous`] and the
+    /// [`Aggregated`] blocking, color both quotient graphs, and keep the
+    /// one with fewer colors (contiguous on a tie). Fewer colors means
+    /// fewer barriers per sweep and wider colors; a locally numbered
+    /// matrix (banded FEM, the suite generators) keeps its numbering,
+    /// while a scrambled one (R-MAT) gets the graph-compact BFS blocks.
+    /// [`Abmc::strategy`] reports which one was kept.
+    ///
+    /// [`Contiguous`]: BlockingStrategy::Contiguous
+    /// [`Aggregated`]: BlockingStrategy::Aggregated
+    #[default]
+    FewestColors,
     /// Contiguous index ranges (cheap; good when the input numbering is
     /// already local, e.g. banded FEM).
     Contiguous,
     /// Greedy BFS aggregation over the structure graph (the "algebraic"
     /// blocking; re-groups irregular matrices).
-    #[default]
     Aggregated,
     /// Multilevel edge-cut partitioning ([`crate::partition`]): minimizes
     /// cross-block entries, i.e. the dependency edges the barrier-free
     /// point-to-point sweep waits on. Costs more at plan time than the
-    /// other two; pays off on irregular structure.
+    /// other two and is never chosen automatically; select it
+    /// explicitly.
     Multilevel,
 }
+
+/// Blocks [`AbmcParams::for_threads`] asks for per pool thread. In a
+/// sweep of 16, 32 and 64 per thread on the benchmark's DRAM- and
+/// LLC-scale suite matrices at 2 threads, 16 was the fastest at DRAM
+/// scale (fewer colors on Serena) and within noise of the best at LLC
+/// scale (see DESIGN.md, "ABMC policy").
+pub const BLOCKS_PER_THREAD: usize = 16;
 
 /// Parameters for [`Abmc::new`].
 #[derive(Debug, Clone, Copy)]
 pub struct AbmcParams {
-    /// Target number of blocks (the paper defaults to 512 or 1024).
+    /// Target number of blocks (the paper's experiments use 512 or
+    /// 1024). Capped at `n / 2`, so every block averages at least two
+    /// rows.
     pub nblocks: usize,
     /// Blocking strategy.
     pub strategy: BlockingStrategy,
@@ -52,6 +73,25 @@ impl Default for AbmcParams {
     }
 }
 
+impl AbmcParams {
+    /// The library's parallel policy for a pool of `nthreads` workers:
+    /// [`BLOCKS_PER_THREAD`] blocks per thread, blocking chosen by
+    /// [`BlockingStrategy::FewestColors`].
+    ///
+    /// Sizing, as geomean ms per `Aᵏx` call over Flan_1565, Serena and
+    /// cage14 at 2 threads (2-vCPU Xeon VM, 105 MB LLC; DRAM scale
+    /// k = 5 with each CSR ≈ 270 MB, LLC scale k = 8; DESIGN.md, "ABMC
+    /// policy", has the per-matrix table):
+    ///
+    /// | blocks per thread | 16 | 32 | 64 | 512 BFS aggregates in all |
+    /// |---|---|---|---|---|
+    /// | DRAM scale | **152.0** | 155.7 | 160.8 | 206.6 |
+    /// | LLC scale | 5.56 | **5.54** | 5.60 | 6.95 |
+    pub fn for_threads(nthreads: usize) -> Self {
+        AbmcParams { nblocks: BLOCKS_PER_THREAD * nthreads.max(1), ..Default::default() }
+    }
+}
+
 /// The result of ABMC reordering.
 ///
 /// All row indices below refer to the *new* (permuted) numbering: rows are
@@ -66,13 +106,14 @@ pub struct Abmc {
     perm: Permutation,
     block_row_start: Vec<usize>,
     color_block_start: Vec<usize>,
+    strategy: BlockingStrategy,
 }
 
 impl Abmc {
     /// Computes the ABMC ordering of a square matrix.
     ///
     /// ```
-    /// use fbmpk_reorder::{Abmc, AbmcParams};
+    /// use fbmpk_reorder::{Abmc, AbmcParams, BlockingStrategy};
     /// let a = fbmpk_sparse::Csr::from_dense(&[
     ///     &[2.0, -1.0, 0.0, 0.0],
     ///     &[-1.0, 2.0, -1.0, 0.0],
@@ -83,6 +124,8 @@ impl Abmc {
     /// let permuted = abmc.apply(&a);
     /// // Soundness: no entry joins two same-color blocks.
     /// abmc.validate_against(&permuted).unwrap();
+    /// // The default strategy resolves to a concrete blocking.
+    /// assert_eq!(abmc.strategy(), BlockingStrategy::Contiguous);
     /// ```
     ///
     /// # Panics
@@ -91,26 +134,49 @@ impl Abmc {
         assert_eq!(a.nrows(), a.ncols(), "ABMC needs a square matrix");
         assert!(params.nblocks > 0, "need at least one block");
         let n = a.nrows();
+        let nblocks = params.nblocks.min(n / 2).max(1);
         let g = Graph::from_matrix(a);
-        let blocking = match params.strategy {
-            BlockingStrategy::Contiguous => contiguous_blocks(n, params.nblocks),
-            BlockingStrategy::Aggregated => {
-                aggregated_blocks(&g, block_size_for_count(n, params.nblocks))
-            }
-            BlockingStrategy::Multilevel => multilevel_blocks(&g, params.nblocks),
+        let colored = |strategy: BlockingStrategy| {
+            let blocking = match strategy {
+                BlockingStrategy::Contiguous => contiguous_blocks(n, nblocks),
+                BlockingStrategy::Aggregated => {
+                    aggregated_blocks(&g, block_size_for_count(n, nblocks))
+                }
+                BlockingStrategy::Multilevel => multilevel_blocks(&g, nblocks),
+                BlockingStrategy::FewestColors => unreachable!("resolved below"),
+            };
+            let quotient = g.quotient(&blocking.block_of, blocking.nblocks);
+            let coloring = greedy_coloring(&quotient, params.ordering);
+            // The parallel sweeps' memory safety rests on this property,
+            // so it is checked in release builds too (O(blocks + block
+            // edges), a rounding error next to the quotient construction
+            // itself).
+            validate_coloring(&quotient, &coloring)
+                .expect("greedy coloring violated the distance-1 property (internal bug)");
+            (strategy, blocking, coloring)
         };
-        let quotient = g.quotient(&blocking.block_of, blocking.nblocks);
-        let coloring = greedy_coloring(&quotient, params.ordering);
-        // The parallel sweeps' memory safety rests on this property, so it
-        // is checked in release builds too (O(blocks + block edges), a
-        // rounding error next to the quotient construction itself).
-        validate_coloring(&quotient, &coloring)
-            .expect("greedy coloring violated the distance-1 property (internal bug)");
-        Self::assemble(n, &blocking, &coloring)
+        let (strategy, blocking, coloring) = match params.strategy {
+            BlockingStrategy::FewestColors => {
+                let contiguous = colored(BlockingStrategy::Contiguous);
+                let aggregated = colored(BlockingStrategy::Aggregated);
+                if aggregated.2.ncolors < contiguous.2.ncolors {
+                    aggregated
+                } else {
+                    contiguous
+                }
+            }
+            explicit => colored(explicit),
+        };
+        Self::assemble(n, strategy, &blocking, &coloring)
     }
 
     /// Builds the permutation and offset arrays from a blocking + coloring.
-    fn assemble(n: usize, blocking: &Blocking, coloring: &Coloring) -> Self {
+    fn assemble(
+        n: usize,
+        strategy: BlockingStrategy,
+        blocking: &Blocking,
+        coloring: &Coloring,
+    ) -> Self {
         let nblocks = blocking.nblocks;
         let ncolors = coloring.ncolors;
         // Sort block ids by (color, id) — stable within a color so block
@@ -138,7 +204,14 @@ impl Abmc {
             color_block_start[current_color] = nblocks;
         }
         let perm = Permutation::from_order(&order).expect("blocking covers all rows exactly once");
-        Abmc { perm, block_row_start, color_block_start }
+        Abmc { perm, block_row_start, color_block_start, strategy }
+    }
+
+    /// The blocking this ordering was built with: the requested strategy,
+    /// or for [`BlockingStrategy::FewestColors`] the one it kept (never
+    /// `FewestColors` itself).
+    pub fn strategy(&self) -> BlockingStrategy {
+        self.strategy
     }
 
     /// The symmetric row/column permutation (old → new).
@@ -234,6 +307,7 @@ mod tests {
     fn offsets_partition_rows_and_blocks() {
         let a = tridiag(100);
         for strategy in [
+            BlockingStrategy::FewestColors,
             BlockingStrategy::Contiguous,
             BlockingStrategy::Aggregated,
             BlockingStrategy::Multilevel,
@@ -249,6 +323,46 @@ mod tests {
             let total_blocks: usize = (0..abmc.ncolors()).map(|c| abmc.color_blocks(c).len()).sum();
             assert_eq!(total_blocks, abmc.nblocks());
         }
+    }
+
+    #[test]
+    fn fewest_colors_keeps_the_blocking_with_fewer_colors() {
+        let pick = |a: &Csr, nblocks: usize| {
+            let params = |strategy| AbmcParams { nblocks, strategy, ..Default::default() };
+            let auto = Abmc::new(a, params(BlockingStrategy::FewestColors));
+            let cont = Abmc::new(a, params(BlockingStrategy::Contiguous));
+            let agg = Abmc::new(a, params(BlockingStrategy::Aggregated));
+            assert_eq!(auto.ncolors(), cont.ncolors().min(agg.ncolors()));
+            let kept = if agg.ncolors() < cont.ncolors() { &agg } else { &cont };
+            assert_eq!(auto.strategy(), kept.strategy());
+            assert_eq!(auto.permutation(), kept.permutation(), "same ordering as the explicit one");
+            auto.strategy()
+        };
+        // Local numbering: contiguous ranges color a path in 2, and the
+        // tie goes to contiguous.
+        assert_eq!(pick(&tridiag(200), 16), BlockingStrategy::Contiguous);
+        assert_eq!(pick(&fbmpk_gen::poisson::grid2d_5pt(40, 40), 32), BlockingStrategy::Contiguous);
+        // Scrambled numbering: contiguous ranges of a power-law graph
+        // touch nearly every other range; BFS blocks stay compact.
+        let rmat = fbmpk_gen::rmat::rmat(fbmpk_gen::rmat::RmatParams {
+            scale: 12,
+            edge_factor: 8,
+            symmetric: true,
+            seed: 7,
+            ..Default::default()
+        });
+        assert_eq!(pick(&rmat, 64), BlockingStrategy::Aggregated);
+    }
+
+    #[test]
+    fn block_count_is_capped_at_half_the_rows() {
+        for strategy in [BlockingStrategy::Contiguous, BlockingStrategy::Aggregated] {
+            let abmc =
+                Abmc::new(&tridiag(20), AbmcParams { nblocks: 64, strategy, ..Default::default() });
+            assert_eq!(abmc.nblocks(), 10, "{strategy:?}");
+        }
+        assert_eq!(AbmcParams::for_threads(2).nblocks, 2 * BLOCKS_PER_THREAD);
+        assert_eq!(AbmcParams::for_threads(2).strategy, BlockingStrategy::FewestColors);
     }
 
     #[test]

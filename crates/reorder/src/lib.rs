@@ -4,7 +4,9 @@
 //! §III-D).
 //!
 //! The centerpiece is the **algebraic block multi-color ordering** (ABMC,
-//! Iwashita et al., IPDPS 2012): rows are aggregated into blocks, the block
+//! Iwashita et al., IPDPS 2012): rows are grouped into blocks (by default
+//! contiguous ranges or BFS aggregates, whichever colors in fewer
+//! colors; see [`BlockingStrategy::FewestColors`]), the block
 //! quotient graph is greedily distance-1 colored (our Colpack substitute),
 //! and rows are renumbered block-by-block with blocks sorted by color. After
 //! this symmetric permutation, same-color blocks share no matrix entry, so
@@ -26,7 +28,7 @@ pub mod levels;
 pub mod partition;
 pub mod rcm;
 
-pub use abmc::{Abmc, AbmcParams, BlockingStrategy};
+pub use abmc::{Abmc, AbmcParams, BlockingStrategy, BLOCKS_PER_THREAD};
 pub use coloring::{greedy_coloring, validate_coloring, ColoringOrdering};
 pub use deps::{BlockDeps, DepStats};
 pub use graph::Graph;

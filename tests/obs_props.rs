@@ -7,7 +7,7 @@
 //! 2% of the recording plan's upper bound (the recorder itself is cheap
 //! enough that even the *enabled* path stays in the noise).
 
-use fbmpk::{FbmpkOptions, FbmpkPlan, ObsOptions, SyncMode};
+use fbmpk::{BlockingMode, FbmpkOptions, FbmpkPlan, ObsOptions, SyncMode};
 use fbmpk_obs::recorder::SpanKind;
 use fbmpk_reorder::AbmcParams;
 
@@ -55,6 +55,37 @@ fn recording_is_bit_identical_across_modes_parities_and_threads() {
             .unwrap();
     for k in [4usize, 5] {
         assert_eq!(plain.power(&x0, k), rec.power(&x0, k), "serial k={k}");
+    }
+}
+
+#[test]
+fn workspace_calls_take_the_plan_dispatch() {
+    // `power_with` runs through the same dispatch as `power`: a recording
+    // plan records the streaming phases (or the level-blocked wavefront's
+    // tiles), and the result is bitwise the allocating call's.
+    let a = fbmpk_gen::suite::suite_entry("cant").unwrap().generate(0.002, 5);
+    let n = a.nrows();
+    let x0 = start(n);
+    let streaming = opts(2, 48, SyncMode::ColorBarrier, ObsOptions::recording());
+    let blocked =
+        FbmpkOptions { blocking: BlockingMode::LevelBlocked { tile_powers: Some(2) }, ..streaming };
+    for (options, kinds) in
+        [(streaming, &[SpanKind::Head, SpanKind::Forward][..]), (blocked, &[SpanKind::Tile][..])]
+    {
+        let plan = FbmpkPlan::new(&a, options).unwrap();
+        let rec = plan.recorder().unwrap();
+        let mut ws = plan.workspace();
+        let mut y = vec![0.0; n];
+        for k in [4usize, 5] {
+            rec.reset();
+            plan.power_with(&mut ws, &x0, k, &mut y);
+            let recorded: Vec<SpanKind> =
+                (0..rec.nthreads()).flat_map(|t| rec.thread_spans(t)).map(|s| s.kind).collect();
+            for kind in kinds {
+                assert!(recorded.contains(kind), "{:?} k={k}: no {kind:?} span", options.blocking);
+            }
+            assert_eq!(y, plan.power(&x0, k), "{:?} k={k}", options.blocking);
+        }
     }
 }
 

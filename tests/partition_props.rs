@@ -2,10 +2,12 @@
 //!
 //! Three blocking strategies feed the ABMC pipeline: `Contiguous` index
 //! ranges, BFS `Aggregated` blocks, and the `Multilevel` edge-cut
-//! partitioner. Changing the strategy changes the block structure, the
-//! coloring, and the point-to-point wait lists — but for any *fixed*
-//! strategy the swept numbers must stay bit-identical across thread
-//! counts and sync modes, exactly like the base ABMC ordering.
+//! partitioner; the default `FewestColors` policy keeps whichever of the
+//! first two colors in fewer colors. Changing the strategy changes the
+//! block structure, the coloring, and the point-to-point wait lists — but
+//! for any *fixed* strategy the swept numbers must stay bit-identical
+//! across thread counts and sync modes, exactly like the base ABMC
+//! ordering.
 //!
 //! The cut-quality tests pin down the partitioner's reason to exist: on
 //! irregular structures (R-MAT power-law graphs, circuit-like matrices)
@@ -15,15 +17,19 @@
 //! Set `FBMPK_TEST_THREADS` to add an extra (oversubscribed) thread
 //! count, as in `sync_props.rs` — CI uses `FBMPK_TEST_THREADS=16`.
 
-use fbmpk::{FbmpkOptions, FbmpkPlan, SyncMode};
+use fbmpk::{FbmpkOptions, FbmpkPlan, SyncMode, TuneOptions, TunedPlan};
 use fbmpk_reorder::blocking::{aggregated_blocks, block_size_for_count, contiguous_blocks};
 use fbmpk_reorder::{
-    balance_ratio, cut_edges, multilevel_blocks, AbmcParams, BlockingStrategy, Graph,
+    balance_ratio, cut_edges, multilevel_blocks, Abmc, AbmcParams, BlockingStrategy, Graph,
 };
 use proptest::prelude::*;
 
-const STRATEGIES: [BlockingStrategy; 3] =
-    [BlockingStrategy::Contiguous, BlockingStrategy::Aggregated, BlockingStrategy::Multilevel];
+const STRATEGIES: [BlockingStrategy; 4] = [
+    BlockingStrategy::FewestColors,
+    BlockingStrategy::Contiguous,
+    BlockingStrategy::Aggregated,
+    BlockingStrategy::Multilevel,
+];
 
 fn start(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i * 71 % 127) as f64) / 63.5 - 1.0).collect()
@@ -122,15 +128,70 @@ fn multilevel_cut_beats_aggregation_on_irregular_generators() {
     }
 }
 
+/// A symmetric R-MAT graph: power-law structure with a scrambled
+/// numbering, the class where BFS aggregation colors in fewer colors.
+fn symmetric_rmat(scale: u32) -> fbmpk_sparse::Csr {
+    fbmpk_gen::rmat::rmat(fbmpk_gen::rmat::RmatParams {
+        scale,
+        edge_factor: 8,
+        symmetric: true,
+        seed: 5,
+        ..Default::default()
+    })
+}
+
 #[test]
-fn tuner_selects_minimum_cut_strategy() {
-    for (name, a) in irregular_cases() {
-        let nblocks = 32;
-        let (chosen, cuts) = fbmpk::select_blocking_strategy(&a, nblocks);
-        assert_eq!(cuts.len(), 3, "{name}: all three strategies compared");
-        let min = cuts.iter().map(|&(_, c)| c).min().unwrap();
-        let chosen_cut = cuts.iter().find(|&&(s, _)| s == chosen).unwrap().1;
-        assert_eq!(chosen_cut, min, "{name}: tuner did not pick the minimum cut");
+fn tuner_selects_fewest_colors_strategy() {
+    // The tuner's choice is the default policy's: the blocking (of
+    // contiguous and aggregated) whose quotient graph colors in fewer
+    // colors, contiguous on a tie. Multilevel is never chosen.
+    let suite = fbmpk_gen::suite::suite_entry("Serena").expect("suite member").generate(0.002, 1);
+    let mut cases = irregular_cases();
+    cases.push(("serena", suite));
+    for (name, a) in cases {
+        let tuned = TunedPlan::new(
+            &a,
+            TuneOptions { nthreads: 2, probe: false, probe_reps: 1, ..Default::default() },
+        );
+        for nblocks in [8usize, 32] {
+            let colors = |strategy| {
+                Abmc::new(&a, AbmcParams { nblocks, strategy, ..Default::default() }).ncolors()
+            };
+            let (cont, agg) =
+                (colors(BlockingStrategy::Contiguous), colors(BlockingStrategy::Aggregated));
+            let want = if agg < cont {
+                BlockingStrategy::Aggregated
+            } else {
+                BlockingStrategy::Contiguous
+            };
+            let chosen = tuned.blocking_strategy(nblocks);
+            assert_eq!(chosen, want, "{name} nblocks={nblocks}: {cont} vs {agg} colors");
+            let plan = tuned.fbmpk_plan_auto(nblocks).unwrap();
+            assert_eq!(plan.stats().blocking, Some(chosen), "{name}: plan built another blocking");
+            assert_eq!(plan.stats().ncolors, cont.min(agg), "{name}: not the fewest colors");
+        }
+    }
+}
+
+#[test]
+fn default_policy_resolves_per_matrix_class() {
+    // Locally numbered suite matrices keep contiguous ranges; a
+    // scrambled power-law graph gets BFS aggregates. The resolution is
+    // deterministic: a second build makes the same ordering.
+    let suite =
+        |name: &str| fbmpk_gen::suite::suite_entry(name).expect("suite member").generate(0.004, 1);
+    let cases = [
+        ("Serena", suite("Serena"), BlockingStrategy::Contiguous),
+        ("Flan_1565", suite("Flan_1565"), BlockingStrategy::Contiguous),
+        ("rmat", symmetric_rmat(14), BlockingStrategy::Aggregated),
+    ];
+    for (name, a, want) in cases {
+        let first = FbmpkPlan::new(&a, FbmpkOptions::parallel(2)).unwrap();
+        let again = FbmpkPlan::new(&a, FbmpkOptions::parallel(2)).unwrap();
+        assert_eq!(first.stats().blocking, Some(want), "{name}: {:?}", first.stats());
+        let shape = |p: &FbmpkPlan| (p.stats().blocking, p.stats().nblocks, p.stats().ncolors);
+        assert_eq!(shape(&first), shape(&again), "{name}");
+        assert_eq!(first.permutation(), again.permutation(), "{name}: nondeterministic ordering");
     }
 }
 
