@@ -10,7 +10,10 @@
 //! odd iterate `x_{2p+1}` in the odd slots, and `tmp[r]` carries partial
 //! sums between stages.
 //!
-//! * **head** — `tmp = U·x₀` (one read of `U`).
+//! * **head** — `U[r,:]·x₀` (one read of `U`), computed in a register by
+//!   row `r` of the first forward sweep just before it needs it. The
+//!   forward sweep never writes the even slots, so `x₀` is intact there
+//!   for every row; no separate pass or barrier precedes the sweeps.
 //! * `⌊k/2⌋` **forward/backward rounds**, each advancing two powers while
 //!   reading `L` and `U` once each:
 //!   * *forward*, rows top-down over `L`:
@@ -23,7 +26,9 @@
 //!     `x_{2p+2}` in the even slots and `tmp = U·x_{2p+2}` for the next
 //!     round's head state.
 //! * **tail** (odd `k`) — `x_k = tmp + d·x_{k-1} + L·x_{k-1}` (one read of
-//!   `L`).
+//!   `L`), on a flat row partition balanced by `L` nonzeros. For `k = 1`
+//!   there is no sweep: one flat pass computes each row's `U` and `L` dots
+//!   together, balanced by `L + U` nonzeros, with no barrier at all.
 //!
 //! Matrix reads: `⌈(k+1)/2⌉` instead of the standard `k` (paper §III-B).
 //!
@@ -45,9 +50,10 @@
 //! for structurally unsymmetric matrices) and flags itself done
 //! afterwards. Epochs count sweeps within one invocation — forward of
 //! round `p` is `2p+1`, backward `2p+2` — and a same-epoch wait plus
-//! program order on the owning thread subsumes all earlier sweeps. Only
-//! the head→sweep and sweep→tail hand-offs keep a pool barrier (their
-//! flat partition ignores block boundaries).
+//! program order on the owning thread subsumes all earlier sweeps. Two
+//! pool barriers remain: one after each thread resets its own flags
+//! (publishing the resets before the first wait), and one before an
+//! odd-`k` tail (its flat partition ignores block boundaries).
 
 use crate::layout::XyLayout;
 use crate::schedule::{Schedule, SyncCtx};
@@ -60,8 +66,8 @@ use fbmpk_sparse::TriangularSplit;
 /// Resets the epoch flags of thread `t`'s own blocks (point-to-point mode
 /// only). Flags are strictly thread-local to their owning thread — only
 /// the owner ever resets or marks a flag — so no cross-thread write races
-/// exist; a barrier between the resets and the first wait (the head
-/// barrier in FBMPK, an explicit one in SYMGS) publishes them.
+/// exist; a pool barrier between the resets and the first wait publishes
+/// them (FBMPK and SYMGS both place one right after this call).
 pub(crate) fn reset_own_flags(sched: &Schedule, sync: &SyncCtx, t: usize) {
     if let SyncCtx::PointToPoint { flags, .. } = sync {
         for per_color in sched.blocks.iter() {
@@ -292,8 +298,9 @@ pub(crate) fn backward_sweep<F: Fn(usize), P: Probe>(
 
 /// Runs the FBMPK pipeline.
 ///
-/// On entry the layout's **even** slots must hold `x₀`; odd slots may hold
-/// anything. On exit:
+/// On entry the layout's **even** slots must hold `x₀`; odd slots, `tmp`
+/// and `out` may hold anything (every entry is written before it is
+/// read). On exit:
 ///
 /// * even `k`: the even slots hold `x_k`,
 /// * odd `k`: `out` holds `x_k` (even slots hold `x_{k-1}`).
@@ -304,9 +311,8 @@ pub(crate) fn backward_sweep<F: Fn(usize), P: Probe>(
 /// `sync` selects the intra-sweep synchronization: barriers after every
 /// color, or per-block point-to-point waits (whose dependency lists and
 /// flag table must match this schedule's block structure). Either way the
-/// head hands off to the first sweep, and the last sweep to the tail,
-/// through a pool barrier: those stages run on the flat partition, which
-/// crosses block boundaries.
+/// last sweep hands off to an odd-`k` tail through a pool barrier: the
+/// tail runs on a flat partition, which crosses block boundaries.
 ///
 /// # Errors
 /// Returns [`crate::FbmpkError::WorkerPanicked`] when a worker closure
@@ -331,12 +337,30 @@ pub fn run_fbmpk<L: XyLayout, S: Sink>(
     run_fbmpk_probed(pool, sched, split, layout, tmp, out, k, sink, sync, &NoopProbe)
 }
 
+/// A pool barrier wait, recorded as a [`SpanKind::BarrierWait`] span when
+/// the probe is enabled.
+fn probed_barrier<P: Probe>(pool: &ThreadPool, t: usize, probe: &P) {
+    if P::ENABLED {
+        let t0 = probe.now();
+        let (_, snoozes) = pool.barrier().wait_counted();
+        let t1 = probe.now();
+        // SAFETY: `t` is this worker's own lane.
+        unsafe {
+            probe.record(t, span(SpanKind::BarrierWait, Span::NO_ID, Span::NO_ID, snoozes, t0, t1));
+        }
+    } else {
+        pool.barrier().wait();
+    }
+}
+
 /// [`run_fbmpk`] with an observability probe threaded through every
 /// phase. With [`NoopProbe`] (what [`run_fbmpk`] passes) the probe
 /// parameters monomorphize away and this *is* the uninstrumented kernel;
-/// with [`fbmpk_obs::SpanProbe`] each thread records head/forward/
-/// backward/tail compute spans plus barrier-wait and epoch-flag-wait
-/// spans into its own recorder lane.
+/// with [`fbmpk_obs::SpanProbe`] each thread records forward/backward/
+/// tail compute spans plus barrier-wait and epoch-flag-wait spans into
+/// its own recorder lane. [`SpanKind::Head`] marks the single flat pass
+/// of `k = 1`; for `k ≥ 2` the head's work is inside the first forward
+/// sweep's spans.
 #[allow(clippy::too_many_arguments)] // the kernel signature mirrors Algorithm 2's inputs
 pub fn run_fbmpk_probed<L: XyLayout, S: Sink, P: Probe>(
     pool: &ThreadPool,
@@ -356,6 +380,7 @@ pub fn run_fbmpk_probed<L: XyLayout, S: Sink, P: Probe>(
     assert_eq!(tmp.len(), n);
     assert_eq!(out.len(), n);
     assert_eq!(pool.nthreads(), sched.nthreads, "pool/schedule thread count mismatch");
+    let p2p = matches!(sync, SyncCtx::PointToPoint { .. });
     if let SyncCtx::PointToPoint { deps, flags } = sync {
         assert_eq!(deps.nblocks(), sched.nblocks(), "dependency/schedule block count mismatch");
         assert_eq!(flags.len(), sched.nblocks(), "flag/schedule block count mismatch");
@@ -366,9 +391,7 @@ pub fn run_fbmpk_probed<L: XyLayout, S: Sink, P: Probe>(
     let lower = &split.lower;
     let upper = &split.upper;
     let diag = &split.diag;
-    let barrier = pool.barrier();
     let rounds = k / 2;
-    let odd_k = k % 2 == 1;
 
     // With the `simd` feature on and a vector unit detected at runtime, the
     // sweeps gather whole rows through the layout's base pointers using the
@@ -388,81 +411,70 @@ pub fn run_fbmpk_probed<L: XyLayout, S: Sink, P: Probe>(
         let u_col = upper.col_idx();
         let u_val = upper.values();
 
-        reset_own_flags(sched, sync, t);
-        let head_rows = sched.flat[t].clone().len() as u32;
-        let head_t0 = probe.now();
-        // Head: tmp = U * x0 (x0 in even slots, read-only here). The row
-        // dot product is 4-way unrolled (independent accumulators keep the
-        // FP pipeline full); the < 4 remainder folds into s0 alone so short
-        // rows stay bit-identical to the scalar loop.
-        for r in sched.flat[t].clone() {
-            let (lo, hi) = (u_ptr[r], u_ptr[r + 1]);
+        // `init + Σ vals[j]·x_even[cols[j]]` for one row: 4-way unrolled
+        // (independent accumulators keep the FP pipeline full), with
+        // `init` and the < 4 remainder folded into s0 so short rows stay
+        // bit-identical to the scalar loop. Callers read only even slots
+        // that are stable: `x₀` during the first forward sweep (which
+        // never writes them) or the k = 1 pass, `x_{k-1}` after the last
+        // sweep's barrier.
+        let even_dot = |cols: &[u32], vals: &[f64], init: f64| -> f64 {
             #[cfg(feature = "simd")]
             if let Some(bases) = simd_bases {
                 use crate::layout::LayoutBases;
-                // SAFETY: even slots are read-only during the head phase
-                // (the pointer-kernel contract); thread t owns tmp rows in
-                // flat[t]. Seeding lane 0 with 0.0 is the scalar `s0 = 0.0`.
-                unsafe {
-                    let s = match bases {
-                        LayoutBases::Btb(xy) => fbmpk_sparse::simd::btb_even_dot_ptr(
-                            &u_col[lo..hi],
-                            &u_val[lo..hi],
-                            xy.0,
-                            0.0,
-                        ),
-                        LayoutBases::Split { even, .. } => fbmpk_sparse::simd::row_dot_ptr(
-                            &u_col[lo..hi],
-                            &u_val[lo..hi],
-                            even.0,
-                            0.0,
-                        ),
-                    };
-                    tmp.set(r, s);
-                }
-                continue;
+                // SAFETY: the even slots read are stable (above); lane 0
+                // seeded with `init` is the scalar `s0` initialization.
+                return unsafe {
+                    match bases {
+                        LayoutBases::Btb(xy) => {
+                            fbmpk_sparse::simd::btb_even_dot_ptr(cols, vals, xy.0, init)
+                        }
+                        LayoutBases::Split { even, .. } => {
+                            fbmpk_sparse::simd::row_dot_ptr(cols, vals, even.0, init)
+                        }
+                    }
+                };
             }
-            let main = hi - (hi - lo) % 4;
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            let mut j = lo;
-            // SAFETY: even slots are read-only during the head phase.
+            let len = cols.len();
+            let vals = &vals[..len];
+            let main = len - len % 4;
+            let (mut s0, mut s1, mut s2, mut s3) = (init, 0.0f64, 0.0f64, 0.0f64);
+            let mut j = 0;
+            // SAFETY: the even slots read are stable (above).
             unsafe {
                 while j < main {
-                    s0 += u_val[j] * layout.get_even(u_col[j] as usize);
-                    s1 += u_val[j + 1] * layout.get_even(u_col[j + 1] as usize);
-                    s2 += u_val[j + 2] * layout.get_even(u_col[j + 2] as usize);
-                    s3 += u_val[j + 3] * layout.get_even(u_col[j + 3] as usize);
+                    s0 += vals[j] * layout.get_even(cols[j] as usize);
+                    s1 += vals[j + 1] * layout.get_even(cols[j + 1] as usize);
+                    s2 += vals[j + 2] * layout.get_even(cols[j + 2] as usize);
+                    s3 += vals[j + 3] * layout.get_even(cols[j + 3] as usize);
                     j += 4;
                 }
-                while j < hi {
-                    s0 += u_val[j] * layout.get_even(u_col[j] as usize);
+                while j < len {
+                    s0 += vals[j] * layout.get_even(cols[j] as usize);
                     j += 1;
                 }
             }
-            // SAFETY: thread t owns rows in flat[t].
-            unsafe { tmp.set(r, (s0 + s1) + (s2 + s3)) };
-        }
-        if P::ENABLED {
-            let t1 = probe.now();
-            let (_, snoozes) = barrier.wait_counted();
-            let t2 = probe.now();
-            // SAFETY: `t` is this worker's own lane.
-            unsafe {
-                probe.record(
-                    t,
-                    span(SpanKind::Head, Span::NO_ID, Span::NO_ID, head_rows, head_t0, t1),
-                );
-                probe.record(
-                    t,
-                    span(SpanKind::BarrierWait, Span::NO_ID, Span::NO_ID, snoozes, t1, t2),
-                );
-            }
-        } else {
-            barrier.wait();
+            (s0 + s1) + (s2 + s3)
+        };
+        // Row r's head value `U[r,:]·x₀`, which the first forward sweep
+        // and the k = 1 pass use in place of `tmp[r]`.
+        let head = |r: usize| {
+            let (lo, hi) = (u_ptr[r], u_ptr[r + 1]);
+            even_dot(&u_col[lo..hi], &u_val[lo..hi], 0.0)
+        };
+
+        // Point-to-point sweeps wait on flags; publish this thread's
+        // resets before anyone waits. Without sweeps (k = 1) nothing waits.
+        if p2p && rounds > 0 {
+            reset_own_flags(sched, sync, t);
+            probed_barrier(pool, t, probe);
         }
 
         for p in 0..rounds {
-            // Forward sweep over L, colors ascending.
+            // Forward sweep over L, colors ascending. The first one folds
+            // the head in: tmp[r] is not yet written, so row r computes
+            // U[r,:]·x₀ itself.
+            let first = p == 0;
             forward_sweep(sched, sync, pool, t, (2 * p + 1) as u64, probe, |r| {
                 // SAFETY: tmp[r]/even[r] owned or phase-stable; odd[c] for
                 // c in L-row r is finished (earlier color — barrier or
@@ -474,13 +486,14 @@ pub fn run_fbmpk_probed<L: XyLayout, S: Sink, P: Probe>(
                 unsafe {
                     let d = diag[r];
                     let (lo, hi) = (l_ptr[r], l_ptr[r + 1]);
+                    let carried = if first { head(r) } else { tmp.get(r) };
+                    let init_even = carried + d * layout.get_even(r);
                     #[cfg(feature = "simd")]
                     if let Some(bases) = simd_bases {
                         use crate::layout::LayoutBases;
                         // Dual dot with the even stream seeded by
                         // tmp[r] + d·x_even[r] — exactly `sum0a`'s scalar
                         // initialization below.
-                        let init_even = tmp.get(r) + d * layout.get_even(r);
                         let (sum0, sum1) = match bases {
                             LayoutBases::Btb(xy) => fbmpk_sparse::simd::btb_dual_dot_ptr(
                                 &l_col[lo..hi],
@@ -512,7 +525,7 @@ pub fn run_fbmpk_probed<L: XyLayout, S: Sink, P: Probe>(
                     // element folds into the `a` accumulators so rows
                     // with < 2 nonzeros stay bit-identical to scalar.
                     let main = hi - (hi - lo) % 2;
-                    let mut sum0a = tmp.get(r) + d * layout.get_even(r);
+                    let mut sum0a = init_even;
                     let (mut sum0b, mut sum1a, mut sum1b) = (0.0f64, 0.0f64, 0.0f64);
                     let mut j = lo;
                     while j < main {
@@ -612,79 +625,35 @@ pub fn run_fbmpk_probed<L: XyLayout, S: Sink, P: Probe>(
             });
         }
 
-        if odd_k {
-            // Point-to-point sweeps end without a barrier, but the tail
-            // reads tmp/even across the flat partition, so close the last
-            // sweep (when there was one) with an explicit barrier; the
-            // barrier schedule already ended every color — including the
-            // last — with one.
-            if rounds > 0 && matches!(sync, SyncCtx::PointToPoint { .. }) {
-                if P::ENABLED {
-                    let t0 = probe.now();
-                    let (_, snoozes) = barrier.wait_counted();
-                    let t1 = probe.now();
-                    // SAFETY: `t` is this worker's own lane.
-                    unsafe {
-                        probe.record(
-                            t,
-                            span(SpanKind::BarrierWait, Span::NO_ID, Span::NO_ID, snoozes, t0, t1),
-                        );
-                    }
-                } else {
-                    barrier.wait();
-                }
-            }
-            let tail_t0 = probe.now();
+        if k % 2 == 1 {
             // Tail: x_k = tmp + D x_{k-1} + L x_{k-1} with x_{k-1} in the
-            // even slots and tmp = U x_{k-1} from the last backward sweep
-            // (or from the head when k == 1).
-            for r in sched.flat[t].clone() {
-                // SAFETY: even slots and tmp are stable after the final
-                // barrier; out rows in flat[t] are owned by thread t.
+            // even slots and tmp = U x_{k-1} from the last backward sweep.
+            // For k = 1 there was no sweep: the row computes U x₀ itself,
+            // on the L + U balanced partition, and nothing precedes it.
+            let (rows, kind) = if rounds == 0 {
+                (sched.flat[t].clone(), SpanKind::Head)
+            } else {
+                // Point-to-point sweeps end without a barrier, but the
+                // tail reads tmp/even across its flat partition; the
+                // barrier schedule already ended every color with one.
+                if p2p {
+                    probed_barrier(pool, t, probe);
+                }
+                (sched.tail[t].clone(), SpanKind::Tail)
+            };
+            let nrows = rows.len() as u32;
+            let t0 = probe.now();
+            for r in rows {
+                // SAFETY: even slots and tmp are stable (no sweep left to
+                // write them); out rows in this thread's range are owned.
                 unsafe {
+                    let carried = if rounds == 0 { head(r) } else { tmp.get(r) };
                     let (lo, hi) = (l_ptr[r], l_ptr[r + 1]);
-                    #[cfg(feature = "simd")]
-                    if let Some(bases) = simd_bases {
-                        use crate::layout::LayoutBases;
-                        // Lane 0 seeded with tmp[r] + d·x_{k-1}[r] — the
-                        // scalar `s0` initialization below.
-                        let init = tmp.get(r) + diag[r] * layout.get_even(r);
-                        let s = match bases {
-                            LayoutBases::Btb(xy) => fbmpk_sparse::simd::btb_even_dot_ptr(
-                                &l_col[lo..hi],
-                                &l_val[lo..hi],
-                                xy.0,
-                                init,
-                            ),
-                            LayoutBases::Split { even, .. } => fbmpk_sparse::simd::row_dot_ptr(
-                                &l_col[lo..hi],
-                                &l_val[lo..hi],
-                                even.0,
-                                init,
-                            ),
-                        };
-                        out.set(r, s);
-                        sink.emit(k, r, s);
-                        continue;
-                    }
-                    // Single dot product: 4-way unroll as in the head, with
-                    // the initial value and remainder folded into s0.
-                    let main = hi - (hi - lo) % 4;
-                    let mut s0 = tmp.get(r) + diag[r] * layout.get_even(r);
-                    let (mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64);
-                    let mut j = lo;
-                    while j < main {
-                        s0 += l_val[j] * layout.get_even(l_col[j] as usize);
-                        s1 += l_val[j + 1] * layout.get_even(l_col[j + 1] as usize);
-                        s2 += l_val[j + 2] * layout.get_even(l_col[j + 2] as usize);
-                        s3 += l_val[j + 3] * layout.get_even(l_col[j + 3] as usize);
-                        j += 4;
-                    }
-                    while j < hi {
-                        s0 += l_val[j] * layout.get_even(l_col[j] as usize);
-                        j += 1;
-                    }
-                    let s = (s0 + s1) + (s2 + s3);
+                    let s = even_dot(
+                        &l_col[lo..hi],
+                        &l_val[lo..hi],
+                        carried + diag[r] * layout.get_even(r),
+                    );
                     out.set(r, s);
                     sink.emit(k, r, s);
                 }
@@ -692,12 +661,7 @@ pub fn run_fbmpk_probed<L: XyLayout, S: Sink, P: Probe>(
             if P::ENABLED {
                 let t1 = probe.now();
                 // SAFETY: `t` is this worker's own lane.
-                unsafe {
-                    probe.record(
-                        t,
-                        span(SpanKind::Tail, Span::NO_ID, Span::NO_ID, head_rows, tail_t0, t1),
-                    );
-                }
+                unsafe { probe.record(t, span(kind, Span::NO_ID, Span::NO_ID, nrows, t0, t1)) };
             }
         }
     })

@@ -21,7 +21,7 @@ use fbmpk_reorder::{Abmc, AbmcParams, BlockDeps, BlockingStrategy};
 use fbmpk_sparse::{Csr, Permutation, TriangularSplit};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Storage layout for the two live iterates (paper §III-C, Fig. 10).
@@ -251,6 +251,10 @@ pub struct FbmpkPlan {
     /// Scrape-time collector for the live exposition endpoint; `None`
     /// unless an endpoint is attached at plan build.
     telemetry: Option<Arc<crate::telemetry::PlanTelemetry>>,
+    /// The allocating calls' reusable buffers (see
+    /// [`Self::with_call_workspace`]); `None` until the first call, or
+    /// while a call has it out.
+    pub(crate) spare: Mutex<Option<Workspace>>,
 }
 
 impl FbmpkPlan {
@@ -424,6 +428,7 @@ impl FbmpkPlan {
             numa_first_touch: options.numa_first_touch,
             fallbacks,
             telemetry,
+            spare: Mutex::new(None),
         })
     }
 
@@ -574,9 +579,10 @@ impl FbmpkPlan {
         if k == 0 {
             return Ok(x0.to_vec());
         }
-        let mut ws = self.call_workspace(x0);
-        self.with_fallback(|sync| self.execute_probed(&mut ws, k, &NullSink, sync, probe))?;
-        Ok(self.result_alloc(&ws, k))
+        self.with_call_workspace(x0, |ws| {
+            self.with_fallback(|sync| self.execute_probed(ws, k, &NullSink, sync, probe))?;
+            Ok(self.result_alloc(ws, k))
+        })
     }
 
     /// The synchronization context the kernels run under.
@@ -692,9 +698,11 @@ impl FbmpkPlan {
 
     /// Computes `Aᵏ x₀`.
     ///
-    /// Allocates working buffers per call for convenience; hot loops
-    /// (solvers calling once per iteration) should use
-    /// [`FbmpkPlan::power_with`] with a reused [`crate::Workspace`].
+    /// Allocates only the returned vector: the working buffers are a
+    /// spare [`crate::Workspace`] the plan keeps between calls (a call
+    /// that overlaps another on the same plan allocates its own). Hot
+    /// loops that also want to reuse the result vector should use
+    /// [`FbmpkPlan::power_with`].
     ///
     /// # Panics
     /// Panics when `x0.len() != n` or on a worker fault (use
@@ -713,9 +721,10 @@ impl FbmpkPlan {
         if k == 0 {
             return Ok(x0.to_vec());
         }
-        let mut ws = self.call_workspace(x0);
-        self.with_fallback(|sync| self.execute(&mut ws, k, &NullSink, sync))?;
-        Ok(self.result_alloc(&ws, k))
+        self.with_call_workspace(x0, |ws| {
+            self.with_fallback(|sync| self.execute(ws, k, &NullSink, sync))?;
+            Ok(self.result_alloc(ws, k))
+        })
     }
 
     /// [`Self::try_power`] under a per-request watchdog deadline: the
@@ -754,16 +763,17 @@ impl FbmpkPlan {
         if k == 0 {
             return Ok(Vec::new());
         }
-        let mut ws = self.call_workspace(x0);
         // The basis is (re)built inside the attempt: a stalled attempt
         // leaves it partially written.
-        let basis = self.with_fallback(|sync| {
-            let mut basis = vec![0.0; k * self.n];
-            {
-                let sink = CollectSink::new(&mut basis, self.n, k);
-                self.execute(&mut ws, k, &sink, sync)?;
-            }
-            Ok(basis)
+        let basis = self.with_call_workspace(x0, |ws| {
+            self.with_fallback(|sync| {
+                let mut basis = vec![0.0; k * self.n];
+                {
+                    let sink = CollectSink::new(&mut basis, self.n, k);
+                    self.execute(ws, k, &sink, sync)?;
+                }
+                Ok(basis)
+            })
         })?;
         Ok(basis.chunks(self.n).map(|c| self.permute_out(c.to_vec())).collect())
     }
@@ -784,16 +794,17 @@ impl FbmpkPlan {
         assert!(!coeffs.is_empty(), "need at least the alpha_0 coefficient");
         assert_eq!(x0.len(), self.n, "x0 length mismatch");
         let k = coeffs.len() - 1;
-        let mut ws = self.call_workspace(x0);
         // The accumulator is rebuilt per attempt: AccumSink adds into it
         // as the sweeps run, so a stalled attempt taints it.
-        let y = self.with_fallback(|sync| {
-            let mut y: Vec<f64> = ws.staged.iter().map(|&v| coeffs[0] * v).collect();
-            if k > 0 {
-                let sink = AccumSink::new(&mut y, coeffs);
-                self.execute(&mut ws, k, &sink, sync)?;
-            }
-            Ok(y)
+        let y = self.with_call_workspace(x0, |ws| {
+            self.with_fallback(|sync| {
+                let mut y: Vec<f64> = ws.staged.iter().map(|&v| coeffs[0] * v).collect();
+                if k > 0 {
+                    let sink = AccumSink::new(&mut y, coeffs);
+                    self.execute(ws, k, &sink, sync)?;
+                }
+                Ok(y)
+            })
         })?;
         Ok(self.permute_out(y))
     }
@@ -996,8 +1007,8 @@ fn first_touch_split(pool: &Arc<ThreadPool>, split: TriangularSplit) -> Triangul
 /// Queries where the first-touched kernel arrays actually landed
 /// (pages per NUMA node, via `move_pages`): the triangle CSR arrays and
 /// diagonal of the live split, plus a representative `xy` iterate buffer
-/// allocated through the same first-touch protocol [`FbmpkPlan::power`]
-/// uses. Arrays whose placement cannot be queried are omitted.
+/// allocated through the same first-touch protocol as the plan's
+/// workspaces. Arrays whose placement cannot be queried are omitted.
 fn collect_numa_placement(
     pool: &Arc<ThreadPool>,
     split: &TriangularSplit,
@@ -1015,8 +1026,9 @@ fn collect_numa_placement(
     add("lower", slice_pages_per_node(split.lower.values()));
     add("upper", slice_pages_per_node(split.upper.values()));
     add("diag", slice_pages_per_node(&split.diag));
-    // The iterate pair is allocated per invocation; sample one allocated
-    // the same way (pool workers zero disjoint shares) and drop it.
+    // The iterate pair lives in workspaces allocated after plan build;
+    // sample one allocated the same way (pool workers zero disjoint
+    // shares) and drop it.
     let xy = first_touch_zeroed(pool, 2 * n);
     add("xy", slice_pages_per_node(&xy));
     out

@@ -2,9 +2,10 @@
 //!
 //! A [`Schedule`] fixes, ahead of time (paper: "the number of blocks for
 //! each thread task are allocated in advance"), which contiguous row range
-//! each thread owns within each color, plus a flat row partition for the
-//! head/tail stages. Row ranges never split an ABMC block — intra-block
-//! dependencies require a block to stay on one thread.
+//! each thread owns within each color, plus two flat row partitions for
+//! the stages outside the sweeps (the `k = 1` pass and the odd-`k` tail).
+//! Color row ranges never split an ABMC block — intra-block dependencies
+//! require a block to stay on one thread.
 
 use fbmpk_parallel::partition::merge_balance_by_weight;
 use fbmpk_parallel::BlockFlags;
@@ -22,8 +23,9 @@ pub enum SyncMode {
     /// Barrier-free sweeps: each block spin-waits on the per-block epoch
     /// flags of exactly the predecessor blocks its rows reference
     /// ([`fbmpk_reorder::BlockDeps`]), so a thread flows straight from
-    /// color `c` into `c+1`. Barriers remain only around the head/tail
-    /// stages, whose flat partition crosses block boundaries.
+    /// color `c` into `c+1`. Barriers remain only after the per-invocation
+    /// flag reset and before an odd-`k` tail, whose flat partition crosses
+    /// block boundaries.
     PointToPoint,
 }
 
@@ -56,9 +58,12 @@ pub struct Schedule {
     /// Row range of block `b` is
     /// `block_row_start[b] .. block_row_start[b + 1]`.
     pub block_row_start: Vec<usize>,
-    /// `flat[t]` = row range of thread `t` for the head/tail full-matrix
-    /// stages (balanced by total row nnz).
+    /// `flat[t]` = row range of thread `t` for the `k = 1` pass, which
+    /// reads both triangles (balanced by `nnz(L) + nnz(U) + 1` per row).
     pub flat: Vec<Range<usize>>,
+    /// `tail[t]` = row range of thread `t` for the odd-`k` tail after the
+    /// sweeps, which reads only `L` (balanced by `nnz(L) + 1` per row).
+    pub tail: Vec<Range<usize>>,
     /// Number of worker threads.
     pub nthreads: usize,
     /// Matrix dimension.
@@ -74,6 +79,7 @@ impl Schedule {
             colors: vec![full.clone()],
             blocks: vec![vec![0..1]],
             block_row_start: vec![0, n],
+            tail: full.clone(),
             flat: full,
             nthreads: 1,
             n,
@@ -88,10 +94,11 @@ impl Schedule {
     ///
     /// All partition work happens here, once: per-row weights are computed
     /// in a single pass and shared by the per-color block weights and the
-    /// flat head/tail partition, and both the row- and block-granular
-    /// thread ranges are cached on the schedule (see
-    /// [`Schedule::color_threads`] / [`Schedule::color_thread_blocks`]) so
-    /// sweep call sites never re-partition.
+    /// flat `k = 1` partition; the tail partition weighs `L` alone. Both
+    /// the row- and block-granular thread ranges are cached on the
+    /// schedule (see [`Schedule::color_threads`] /
+    /// [`Schedule::color_thread_blocks`]) so sweep call sites never
+    /// re-partition.
     pub fn colored(abmc: &Abmc, split: &TriangularSplit, nthreads: usize) -> Self {
         assert!(nthreads > 0);
         let n = split.n();
@@ -136,10 +143,13 @@ impl Schedule {
         let mut block_row_start: Vec<usize> =
             (0..abmc.nblocks()).map(|b| abmc.block_rows(b).start).collect();
         block_row_start.push(n);
-        // Head/tail partition: whole rows balanced by nnz, block boundaries
-        // irrelevant (those stages have no intra-sweep dependencies).
+        // Flat partitions: whole rows balanced by the nonzeros each stage
+        // reads, block boundaries irrelevant (neither stage has intra-pass
+        // dependencies).
         let flat = merge_balance_by_weight(&row_weights, nthreads);
-        Schedule { colors, blocks: block_ranges, block_row_start, flat, nthreads, n }
+        let l_weights: Vec<usize> = (0..n).map(|r| split.lower.row_nnz(r) + 1).collect();
+        let tail = merge_balance_by_weight(&l_weights, nthreads);
+        Schedule { colors, blocks: block_ranges, block_row_start, flat, tail, nthreads, n }
     }
 
     /// Number of colors.
@@ -171,8 +181,8 @@ impl Schedule {
     }
 
     /// Validates internal consistency: per color, thread ranges are
-    /// contiguous and disjoint; the union over colors covers `0..n`; the
-    /// flat partition covers `0..n`.
+    /// contiguous and disjoint; the union over colors covers `0..n`; each
+    /// flat partition (`flat`, `tail`) covers every row exactly once.
     pub fn validate(&self) -> std::result::Result<(), String> {
         // Exact-cover check: mark every row; a duplicate mark catches
         // overlaps across colors that a length sum would miss.
@@ -208,9 +218,24 @@ impl Schedule {
         if let Some(row) = seen.iter().position(|&s| !s) {
             return Err(format!("row {row} not covered by any color"));
         }
-        let flat_cover: usize = self.flat.iter().map(|r| r.len()).sum();
-        if flat_cover != self.n {
-            return Err(format!("flat covers {flat_cover} of {} rows", self.n));
+        for (name, parts) in [("flat", &self.flat), ("tail", &self.tail)] {
+            if parts.len() != self.nthreads {
+                return Err(format!("{name} has {} thread slots", parts.len()));
+            }
+            let mut seen = vec![false; self.n];
+            for (t, r) in parts.iter().enumerate() {
+                if r.end > self.n {
+                    return Err(format!("{name} thread {t} range {r:?} out of range"));
+                }
+                for row in r.clone() {
+                    if std::mem::replace(&mut seen[row], true) {
+                        return Err(format!("{name} assigns row {row} more than once"));
+                    }
+                }
+            }
+            if let Some(row) = seen.iter().position(|&s| !s) {
+                return Err(format!("{name} does not cover row {row}"));
+            }
         }
         // Block table: offsets monotone over 0..n, block-granular thread
         // ranges mirror the row-granular ones exactly, every block
@@ -367,6 +392,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn validate_requires_flat_partitions_to_cover_each_row_once() {
+        let a = tridiag(40);
+        let abmc = Abmc::new(
+            &a,
+            AbmcParams { nblocks: 4, strategy: BlockingStrategy::Contiguous, ..Default::default() },
+        );
+        let split = TriangularSplit::split(&abmc.apply(&a)).unwrap();
+        let good = Schedule::colored(&abmc, &split, 3);
+        good.validate().unwrap();
+        // Thread 1 repeats thread 0's tail rows and drops its own: the
+        // lengths no longer sum to n, but a repeat must be named as such.
+        let mut bad = good.clone();
+        bad.tail[1] = bad.tail[0].clone();
+        assert!(bad.validate().unwrap_err().contains("tail assigns row"));
+        let mut bad = good.clone();
+        bad.flat[2].end -= 1;
+        assert!(bad.validate().unwrap_err().contains("flat does not cover row 39"));
+        let mut bad = good;
+        bad.tail.pop();
+        assert!(bad.validate().unwrap_err().contains("tail has 2 thread slots"));
     }
 
     #[test]

@@ -107,9 +107,8 @@ pub fn run_symgs_probed<P: Probe>(
             }
         };
         if p2p {
-            // Unlike FBMPK there is no head stage ahead of the first
-            // sweep, so publish the flag resets explicitly before anyone
-            // starts waiting on them.
+            // Publish the flag resets before anyone starts waiting on
+            // them (FBMPK does the same).
             reset_own_flags(sched, sync, t);
             barrier.wait();
         }

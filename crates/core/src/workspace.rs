@@ -2,12 +2,16 @@
 //!
 //! Solvers call the MPK once per outer iteration (power method, Chebyshev
 //! filters, smoothers); allocating `xy`/`tmp`/`out` each call costs more
-//! than the kernel on small systems. [`Workspace`] owns the kernel buffers
-//! and the `*_with` methods on [`FbmpkPlan`] reuse them, so steady-state
-//! invocations perform no heap allocation.
+//! than the kernel on small systems, and at DRAM scale fresh pages cost a
+//! fault per 4 KiB. [`Workspace`] owns the kernel buffers and the `*_with`
+//! methods on [`FbmpkPlan`] reuse a caller's, so steady-state invocations
+//! perform no heap allocation. The allocating calls (`power`, `krylov`,
+//! `sspmv`) reuse one spare workspace the plan owns; only a call that
+//! finds the spare taken by a concurrent call allocates its own.
 
 use crate::plan::{FbmpkPlan, VectorLayout};
 use crate::sink::{AccumSink, NullSink};
+use std::sync::PoisonError;
 
 /// Reusable kernel buffers for one plan (sized to its dimension).
 #[derive(Debug, Clone)]
@@ -80,20 +84,33 @@ impl FbmpkPlan {
         }
     }
 
-    /// The buffers of one allocating call (`power`, `krylov`, `sspmv`),
-    /// with `x0` staged. No `sspmv_with` accumulator.
-    pub(crate) fn call_workspace(&self, x0: &[f64]) -> Workspace {
-        let n = self.n();
-        let mut ws = Workspace {
-            xy: self.alloc_zeroed(2 * n),
-            tmp: self.alloc_zeroed(n),
-            out: self.alloc_zeroed(n),
-            staged: vec![0.0; n],
-            acc: Vec::new(),
-            n,
-        };
+    /// Runs `f` on the buffers of one allocating call (`power`, `krylov`,
+    /// `sspmv`) with `x0` staged: the plan's spare workspace when it is
+    /// free, else a fresh one (no `sspmv_with` accumulator). The spare's
+    /// lock is held only to take and return it, never across the kernel,
+    /// so concurrent calls run side by side. Stale contents cannot leak:
+    /// the kernel writes every buffer entry before reading it.
+    pub(crate) fn with_call_workspace<T>(
+        &self,
+        x0: &[f64],
+        f: impl FnOnce(&mut Workspace) -> T,
+    ) -> T {
+        let spare = self.spare.lock().unwrap_or_else(PoisonError::into_inner).take();
+        let mut ws = spare.unwrap_or_else(|| {
+            let n = self.n();
+            Workspace {
+                xy: self.alloc_zeroed(2 * n),
+                tmp: self.alloc_zeroed(n),
+                out: self.alloc_zeroed(n),
+                staged: vec![0.0; n],
+                acc: Vec::new(),
+                n,
+            }
+        });
         self.stage(&mut ws, x0);
-        ws
+        let result = f(&mut ws);
+        self.spare.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(ws);
+        result
     }
 
     /// Copies `x0` into `ws.staged` in the plan's numbering.
@@ -327,6 +344,28 @@ mod tests {
         for &k in &[5usize, 2, 7, 1, 4] {
             plan.power_with(&mut ws, &x0, k, &mut y);
             assert_eq!(y, plan.power(&x0, k), "k={k}");
+        }
+    }
+
+    #[test]
+    fn allocating_calls_reuse_the_plan_spare() {
+        let a = grid();
+        let n = a.nrows();
+        for (name, plan) in all_plans(&a) {
+            let x0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
+            assert!(plan.spare.lock().unwrap().is_none(), "{name}: spare before any call");
+            let want = plan.power(&x0, 3);
+            let base = plan.spare.lock().unwrap().as_ref().expect("spare after a call").xy.as_ptr();
+            // Every allocating entry point takes the same buffers back, and
+            // stale contents from other k and other sinks never leak.
+            for k in [2usize, 5, 1] {
+                plan.power(&x0, k);
+                plan.krylov(&x0, k);
+                plan.sspmv(&vec![0.5; k + 1], &x0);
+            }
+            assert_eq!(plan.power(&x0, 3), want, "{name}");
+            let spare = plan.spare.lock().unwrap();
+            assert_eq!(spare.as_ref().unwrap().xy.as_ptr(), base, "{name}: spare reallocated");
         }
     }
 

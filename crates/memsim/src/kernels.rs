@@ -4,6 +4,14 @@
 //! These mirror `fbmpk::standard` and `fbmpk::kernel` access-for-access
 //! (row pointers, index/value streams, vector gathers, result stores) but
 //! perform no arithmetic — the structure alone determines DRAM traffic.
+//!
+//! The FBMPK replay still follows the unfused order: a separate head pass
+//! over `U` that stores `tmp`, then the sweeps, then the tail. The kernel
+//! now reads `U[r,:]` for the head inside the first forward sweep (no `tmp`
+//! store or reload in between) and, for `k = 1`, in the same flat pass as
+//! the tail. The matrix bytes are the same; the interleaving, and so the
+//! cache reuse, differ. Replaying the real kernel through an address
+//! observer is the planned replacement for this mirror.
 //! Replays are single-threaded, like the paper's per-socket LIKWID counts
 //! (traffic is schedule-invariant for barrier-synchronized sweeps up to
 //! boundary effects).

@@ -219,9 +219,16 @@ pub fn add_to_trace(tb: &mut crate::trace::TraceBuilder, pid: u32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, PoisonError};
+
+    /// The recording switch and the log are process-global; tests that
+    /// flip the switch hold this lock so one cannot log into another's
+    /// window.
+    static SWITCH: Mutex<()> = Mutex::new(());
 
     #[test]
     fn inert_guard_records_nothing() {
+        let _switch = SWITCH.lock().unwrap_or_else(PoisonError::into_inner);
         set_recording(false);
         live::set_enabled(false);
         let before = log_snapshot().len();
@@ -231,6 +238,7 @@ mod tests {
 
     #[test]
     fn recording_appends_spans_and_totals() {
+        let _switch = SWITCH.lock().unwrap_or_else(PoisonError::into_inner);
         set_recording(true);
         live::set_enabled(true);
         {

@@ -23,14 +23,16 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum SpanKind {
-    /// The head stage (`tmp = U·x₀`), flat partition.
+    /// The single flat pass of a `k = 1` invocation (`x₁ = U·x₀ + D·x₀ +
+    /// L·x₀` per row). Only `k = 1` records it: for `k ≥ 2` the head's
+    /// `U·x₀` is computed inside the first [`SpanKind::Forward`] units.
     Head,
     /// One forward unit: a color's rows (barrier mode) or one block
     /// (point-to-point mode).
     Forward,
     /// One backward unit, mirror of [`SpanKind::Forward`].
     Backward,
-    /// The odd-`k` tail stage, flat partition.
+    /// The odd-`k` tail stage after the sweeps (`k ≥ 3`), flat partition.
     Tail,
     /// Arrival-to-release time inside a [`fbmpk-parallel`] sense barrier.
     BarrierWait,

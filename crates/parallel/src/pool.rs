@@ -190,6 +190,10 @@ impl ThreadPool {
     /// scope: nothing can unwind a thread that never checks.
     pub fn try_run(&self, f: &(dyn Fn(usize) + Sync)) -> Result<(), WorkerFault> {
         if self.nthreads == 1 {
+            // Inline on the caller's thread, but serialized like the
+            // worker path: concurrent callers share the barrier, the
+            // poison latch and any attached flag table.
+            let _serial = self.inner.state.lock();
             self.inner.progress.clear();
             return match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(0))) {
                 Ok(()) => match self.inner.poison.take() {

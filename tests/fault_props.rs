@@ -12,10 +12,24 @@
 //! Without the feature only the zero-fault half runs: watchdog/fallback
 //! configuration must be invisible on healthy runs (bit-identity plus, in
 //! release, a <2% overhead bound mirroring `tests/obs_props.rs`).
+//!
+//! An installed fault is process-global and the harness runs tests in
+//! parallel, so every plan call that must run fault-free goes through
+//! [`quiet`]: it holds the injection lock with no fault installed, and a
+//! fault another test installs cannot fire inside it.
 
 use fbmpk::{FallbackPolicy, FbmpkOptions, FbmpkPlan, SyncMode};
 use fbmpk_parallel::fault::FaultPlan;
 use fbmpk_reorder::AbmcParams;
+
+/// Runs `f` with no fault installed (under the `fault-inject` feature,
+/// holding the injection lock so no other test can install one
+/// meanwhile). Must not be nested in, or nest, an `install` guard.
+fn quiet<T>(f: impl FnOnce() -> T) -> T {
+    #[cfg(feature = "fault-inject")]
+    let _guard = fbmpk_parallel::fault::install(FaultPlan { faults: vec![] });
+    f()
+}
 
 fn start(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i * 71 % 127) as f64) / 63.5 - 1.0).collect()
@@ -70,17 +84,19 @@ fn test_matrix(idx: usize) -> fbmpk_sparse::Csr {
 /// healthy run: bit-identical results and an untouched fallback counter.
 #[test]
 fn hardened_options_are_bit_identical_without_faults() {
-    for idx in 0..3 {
-        let a = test_matrix(idx);
-        let x0 = start(a.nrows());
-        for t in [2usize, 4, 8] {
-            let want_barrier = barrier_plan(&a, t).power(&x0, 5);
-            let hardened = hardened_plan(&a, t, 2_000, FallbackPolicy::ColorBarrier);
-            assert_eq!(hardened.power(&x0, 5), want_barrier, "matrix {idx} @{t}t");
-            assert_eq!(hardened.power(&x0, 4), barrier_plan(&a, t).power(&x0, 4));
-            assert_eq!(hardened.fallbacks(), 0, "no stall may be recorded on a healthy run");
+    quiet(|| {
+        for idx in 0..3 {
+            let a = test_matrix(idx);
+            let x0 = start(a.nrows());
+            for t in [2usize, 4, 8] {
+                let want_barrier = barrier_plan(&a, t).power(&x0, 5);
+                let hardened = hardened_plan(&a, t, 2_000, FallbackPolicy::ColorBarrier);
+                assert_eq!(hardened.power(&x0, 5), want_barrier, "matrix {idx} @{t}t");
+                assert_eq!(hardened.power(&x0, 4), barrier_plan(&a, t).power(&x0, 4));
+                assert_eq!(hardened.fallbacks(), 0, "no stall may be recorded on a healthy run");
+            }
         }
-    }
+    })
 }
 
 /// The `FBMPK_FAULT` grammar is part of the public surface whether or not
@@ -162,7 +178,7 @@ mod injected {
     fn panicking_worker_is_a_typed_error_and_the_plan_stays_usable() {
         let a = test_matrix(0);
         let x0 = start(a.nrows());
-        let want = barrier_plan(&a, 4).power(&x0, 5);
+        let want = quiet(|| barrier_plan(&a, 4).power(&x0, 5));
         let plan = hardened_plan(&a, 4, 2_000, FallbackPolicy::Error);
         {
             let _guard =
@@ -176,7 +192,7 @@ mod injected {
         }
         // Pool and plan survive the fault: the same plan now succeeds and
         // still matches the baseline bit-for-bit.
-        assert_eq!(plan.try_power(&x0, 5).unwrap(), want);
+        assert_eq!(quiet(|| plan.try_power(&x0, 5)).unwrap(), want);
     }
 
     #[test]
@@ -198,7 +214,7 @@ mod injected {
     fn stall_falls_back_to_barrier_bit_identically() {
         let a = test_matrix(1);
         let x0 = start(a.nrows());
-        let want = barrier_plan(&a, 4).power(&x0, 5);
+        let want = quiet(|| barrier_plan(&a, 4).power(&x0, 5));
         let plan = hardened_plan(&a, 4, 150, FallbackPolicy::ColorBarrier);
         let _guard = install(skip_all_epoch1());
         // The skip faults only affect point-to-point flag publishes; the
@@ -211,7 +227,7 @@ mod injected {
     fn delayed_publish_is_absorbed_bit_identically() {
         let a = test_matrix(2);
         let x0 = start(a.nrows());
-        let want = barrier_plan(&a, 4).power(&x0, 5);
+        let want = quiet(|| barrier_plan(&a, 4).power(&x0, 5));
         let plan = hardened_plan(&a, 4, 2_000, FallbackPolicy::Error);
         let _guard =
             install(FaultPlan { faults: vec![Fault::DelayMark { block: 0, epoch: 1, ms: 30 }] });
@@ -235,7 +251,7 @@ mod injected {
         // to every kernel launch, the barrier reference included.
         let a = test_matrix(0);
         let x0 = start(a.nrows());
-        let want = barrier_plan(&a, 4).power(&x0, 5);
+        let want = quiet(|| barrier_plan(&a, 4).power(&x0, 5));
         let plan = hardened_plan(&a, 4, 500, FallbackPolicy::ColorBarrier);
         let _guard =
             fbmpk_parallel::fault::install_from_env().expect("FBMPK_FAULT is set and non-empty");
@@ -281,7 +297,7 @@ mod injected {
             };
             let a = test_matrix(gen_idx);
             let x0 = start(a.nrows());
-            let want = barrier_plan(&a, threads).power(&x0, 5);
+            let want = quiet(|| barrier_plan(&a, threads).power(&x0, 5));
             let plan = hardened_plan(&a, threads, 150, policy);
             {
                 let _guard = install(FaultPlan { faults: vec![fault] });
@@ -305,7 +321,7 @@ mod injected {
                 }
             }
             // Fault uninstalled: the same plan must recover completely.
-            prop_assert_eq!(plan.try_power(&x0, 5).unwrap(), want);
+            prop_assert_eq!(quiet(|| plan.try_power(&x0, 5)).unwrap(), want);
         }
     }
 }

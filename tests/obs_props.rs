@@ -69,9 +69,10 @@ fn workspace_calls_take_the_plan_dispatch() {
     let streaming = opts(2, 48, SyncMode::ColorBarrier, ObsOptions::recording());
     let blocked =
         FbmpkOptions { blocking: BlockingMode::LevelBlocked { tile_powers: Some(2) }, ..streaming };
-    for (options, kinds) in
-        [(streaming, &[SpanKind::Head, SpanKind::Forward][..]), (blocked, &[SpanKind::Tile][..])]
-    {
+    for (options, kinds) in [
+        (streaming, &[SpanKind::Forward, SpanKind::Backward][..]),
+        (blocked, &[SpanKind::Tile][..]),
+    ] {
         let plan = FbmpkPlan::new(&a, options).unwrap();
         let rec = plan.recorder().unwrap();
         let mut ws = plan.workspace();
@@ -117,7 +118,7 @@ fn barrier_mode_timeline_covers_every_thread_and_color() {
     let plan =
         FbmpkPlan::new(&a, opts(threads, 48, SyncMode::ColorBarrier, ObsOptions::recording()))
             .unwrap();
-    let k = 5; // odd: head + rounds + tail all present
+    let k = 5; // odd: rounds + tail (the head rides in the first forward sweep)
     plan.power(&start(n), k);
     let rec = plan.recorder().unwrap();
     let ncolors = plan.stats().ncolors;
@@ -125,7 +126,7 @@ fn barrier_mode_timeline_covers_every_thread_and_color() {
     for t in 0..threads {
         let spans = rec.thread_spans(t);
         assert!(!spans.is_empty(), "thread {t} recorded nothing");
-        assert!(spans.iter().any(|s| s.kind == SpanKind::Head), "thread {t} missing head");
+        assert!(!spans.iter().any(|s| s.kind == SpanKind::Head), "thread {t}: head not folded");
         assert!(spans.iter().any(|s| s.kind == SpanKind::Tail), "thread {t} missing tail");
         assert!(
             spans.iter().any(|s| s.kind == SpanKind::BarrierWait),
@@ -148,6 +149,14 @@ fn barrier_mode_timeline_covers_every_thread_and_color() {
     assert_eq!(rec.total_dropped(), 0);
     let frac = rec.wait_fraction();
     assert!((0.0..=1.0).contains(&frac), "wait fraction {frac}");
+    // k = 1 is one flat pass per thread, recorded as the head, with no
+    // sweep and no barrier.
+    rec.reset();
+    plan.power(&start(n), 1);
+    for t in 0..threads {
+        let kinds: Vec<SpanKind> = rec.thread_spans(t).iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, [SpanKind::Head], "thread {t} k=1");
+    }
 }
 
 #[test]
